@@ -34,7 +34,6 @@ from .ebf import (
 from .harness import (
     DEFAULT_VARIANTS,
     EvalReport,
-    FaultShape,
     FaultSpec,
     ReportRow,
     SimConfig,

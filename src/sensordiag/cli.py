@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -111,19 +112,38 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """JSON integer; ``bool`` is rejected although Python counts it as int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Finite JSON number, integer or float; ``bool`` is rejected."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _validate_config(cfg: dict) -> None:
-    _require(cfg["sample_period_s"] > 0, "sample_period_s must be positive")
     _require(
-        0 < cfg["variance_fraction"] <= 1, "variance_fraction must be in (0, 1]"
+        _is_real(cfg["sample_period_s"]) and cfg["sample_period_s"] > 0,
+        "sample_period_s must be a positive number",
     )
-    _require(0 < cfg["alpha"] < 1, "alpha must be in (0, 1)")
     _require(
-        isinstance(cfg["lag_depth"], int) and cfg["lag_depth"] >= 0,
+        _is_real(cfg["variance_fraction"]) and 0 < cfg["variance_fraction"] <= 1,
+        "variance_fraction must be a number in (0, 1]",
+    )
+    _require(
+        _is_real(cfg["alpha"]) and 0 < cfg["alpha"] < 1,
+        "alpha must be a number in (0, 1)",
+    )
+    _require(
+        _is_int(cfg["lag_depth"]) and cfg["lag_depth"] >= 0,
         "lag_depth must be a non-negative integer",
     )
+    for key, value in cfg["ebf"].items():
+        _require(_is_real(value), f"ebf.{key} must be a number")
     try:
         EbfParams(**cfg["ebf"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"ebf: {exc}") from exc
     _require(cfg["monitor"]["method"] in ("cp", "rbc"), "monitor.method must be cp|rbc")
     _require(cfg["monitor"]["index"] in ("spe", "t2"), "monitor.index must be spe|t2")
@@ -133,23 +153,28 @@ def _validate_config(cfg: dict) -> None:
     )
     sw = cfg["sweep"]
     _require(
-        isinstance(sw["target_sensor"], int) and sw["target_sensor"] >= 0,
+        _is_int(sw["target_sensor"]) and sw["target_sensor"] >= 0,
         "sweep.target_sensor must be a non-negative integer",
     )
     _require(
-        isinstance(sw["grid_points"], int) and sw["grid_points"] >= 1,
+        _is_int(sw["grid_points"]) and sw["grid_points"] >= 1,
         "sweep.grid_points must be a positive integer",
     )
     if sw["max_amplitude"] is not None:
-        _require(sw["max_amplitude"] > 0, "sweep.max_amplitude must be positive")
+        _require(
+            _is_real(sw["max_amplitude"]) and sw["max_amplitude"] > 0,
+            "sweep.max_amplitude must be a positive number",
+        )
     if sw["amplitudes"] is not None:
         _require(
-            isinstance(sw["amplitudes"], list) and len(sw["amplitudes"]) > 0,
-            "sweep.amplitudes must be a non-empty list",
+            isinstance(sw["amplitudes"], list)
+            and len(sw["amplitudes"]) > 0
+            and all(_is_real(a) for a in sw["amplitudes"]),
+            "sweep.amplitudes must be a non-empty list of numbers",
         )
     if sw["onset_k"] is not None:
         _require(
-            isinstance(sw["onset_k"], int) and sw["onset_k"] >= 0,
+            _is_int(sw["onset_k"]) and sw["onset_k"] >= 0,
             "sweep.onset_k must be a non-negative integer",
         )
     if sw["variants"] is not None:
@@ -167,10 +192,18 @@ def _validate_config(cfg: dict) -> None:
     sim = cfg["simulate"]
     for key in ("n_sensors", "m_train", "m_validation", "n_validation_runs"):
         _require(
-            isinstance(sim[key], int) and sim[key] >= 1,
+            _is_int(sim[key]) and sim[key] >= 1,
             f"simulate.{key} must be a positive integer",
         )
-    _require(sim["noise_std"] >= 0, "simulate.noise_std must be non-negative")
+    for key in ("seed", "structure_seed"):
+        _require(
+            _is_int(sim[key]) and sim[key] >= 0,
+            f"simulate.{key} must be a non-negative integer",
+        )
+    _require(
+        _is_real(sim["noise_std"]) and sim["noise_std"] >= 0,
+        "simulate.noise_std must be a non-negative number",
+    )
 
 
 def load_config(path: str | None) -> dict:

@@ -89,25 +89,39 @@ def ebf_reset(state: EbfState) -> EbfState:
 
 
 def filter_stream(winners, n_sensors: int, params: EbfParams) -> np.ndarray:
-    """Run the accumulator over a whole winner stream from a fresh state.
+    """Run the accumulator over winner streams, each from a fresh state.
 
-    Returns one declared sensor per input sample, ``NO_DECLARATION`` (-1)
-    where no evidence level had crossed the threshold yet. Arithmetic is
-    identical to iterating :func:`ebf_step` + :func:`ebf_decide`.
+    ``winners`` is one integer stream of shape ``(T,)`` or a batch of
+    independent streams of shape ``(B, T)``; every row starts from zeroed
+    evidence and the rows are advanced together, one time step at a time.
+    Returns the declared sensor per input sample, in the input's shape,
+    ``NO_DECLARATION`` (-1) where no evidence level had crossed the
+    threshold yet; the dtype is the input's if it is signed, else ``int``.
+    Arithmetic is identical to iterating :func:`ebf_step` +
+    :func:`ebf_decide` on each row.
     """
-    winners = np.asarray(winners, dtype=int)
-    if winners.ndim != 1:
-        raise ValueError("winners must be a 1-D stream")
-    if winners.size and not ((winners >= 0) & (winners < n_sensors)).all():
+    winners = np.asarray(winners)
+    if winners.ndim not in (1, 2):
+        raise ValueError("winners must be a 1-D stream or a 2-D batch of streams")
+    if winners.dtype.kind not in "iu":
+        if winners.size:
+            raise ValueError(f"winners must be integers, got dtype {winners.dtype}")
+        winners = winners.astype(int)  # an empty list arrives as float64
+    if winners.size and not (winners.min() >= 0 and winners.max() < n_sensors):
         raise IndexOutOfRange("winner stream contains out-of-range sensors")
-    s = np.zeros(n_sensors)
-    out = np.full(winners.shape[0], NO_DECLARATION, dtype=int)
+    batch = np.atleast_2d(winners)
+    rows = np.arange(batch.shape[0])
+    s = np.zeros((batch.shape[0], n_sensors))
+    # A declared sensor is 0 or at most the largest winner seen (a sensor
+    # that never won holds the least evidence), so a signed winner dtype
+    # holds every result, NO_DECLARATION included.
+    out_dtype = batch.dtype if batch.dtype.kind == "i" else int
+    out = np.full(batch.shape, NO_DECLARATION, dtype=out_dtype)
     thresh = params.decision_threshold - _DECISION_TOL
-    for t, w in enumerate(winners):
-        g = np.full(n_sensors, params.penalty)
-        g[w] = params.reward
+    for t in range(batch.shape[1]):
+        g = np.full(s.shape, params.penalty)
+        g[rows, batch[:, t]] = params.reward
         s = np.clip(s + g, params.lower_sat, params.upper_sat)
-        top = int(np.argmax(s))
-        if s[top] >= thresh:
-            out[t] = top
-    return out
+        top = np.argmax(s, axis=1)
+        out[:, t] = np.where(s[rows, top] >= thresh, top, NO_DECLARATION)
+    return out.reshape(winners.shape)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from .isolation import (
 from .pca import PcaModel, model_digest
 
 __all__ = [
-    "FaultShape",
     "FaultSpec",
     "SimConfig",
     "ReportRow",
@@ -53,10 +51,6 @@ DEFAULT_STRUCTURE_SEED = 118
 _BURN_IN = 200
 
 
-class FaultShape(Enum):
-    STEP = "step"
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """Additive single-sensor fault: constant bias from ``onset_k`` onward."""
@@ -64,7 +58,6 @@ class FaultSpec:
     sensor: int
     amplitude: float
     onset_k: int
-    shape: FaultShape = FaultShape.STEP
 
     def __post_init__(self):
         if self.sensor < 0:
@@ -359,7 +352,9 @@ def sweep(
         Fault onset sample per run; defaults to the middle of each run.
     ebf_params : EbfParams, optional
         Accumulator constants for the filtered variants; the filter state
-        resets at every run boundary.
+        resets at every run boundary, so every (amplitude, run) stream is
+        independent and all of them are filtered in one batched pass after
+        the amplitude loop.
     """
     runs = list(runs)
     if not runs:
@@ -384,6 +379,11 @@ def sweep(
 
     tags = list(dict.fromkeys(tag for tag, _ in variants))
     indices = list(dict.fromkeys(tag.index for tag, _ in variants))
+    # Raw winner streams of the filtered tags, every (amplitude, run) in
+    # order, kept in the smallest dtype that holds a sensor index.
+    ebf_streams: dict = {tag: [] for tag, use_ebf in variants if use_ebf}
+    stream_dtype = np.min_scalar_type(-model.n)
+    pending = []  # (row position, tag, index of the row's first stream)
     rows: list[ReportRow] = []
     for amplitude in grid:
         if amplitude == 0.0:
@@ -409,6 +409,8 @@ def sweep(
             for tag in tags:
                 scores = contribution_matrix(model, z, tag)
                 winner_streams[tag].append(np.argmax(scores, axis=1))
+                if tag in ebf_streams:
+                    ebf_streams[tag].append(winner_streams[tag][-1].astype(stream_dtype))
             std_target = float(model.scaler.std[target])
             for idx in indices:
                 estimate_streams[idx].append(
@@ -416,24 +418,38 @@ def sweep(
                 )
         for tag, use_ebf in variants:
             if use_ebf:
-                decided = [
-                    filter_stream(w, model.n, ebf_params)
-                    for w in winner_streams[tag]
-                ]
-            else:
-                decided = winner_streams[tag]
+                pending.append((len(rows), tag, len(ebf_streams[tag]) - len(runs)))
             rows.append(
                 ReportRow(
                     amplitude=amplitude,
                     method=tag.method.value,
                     index=tag.index.value,
                     ebf=use_ebf,
-                    isolation_pct=isolation_percentage(decided, target),
+                    isolation_pct=None
+                    if use_ebf
+                    else isolation_percentage(winner_streams[tag], target),
                     recon_err_pct=reconstruction_error(
                         estimate_streams[tag.index], amplitude
                     ),
                 )
             )
+    # The filter is causal, so right-padding a shorter stream cannot change
+    # its own declarations; each result is cut back to its stream's length.
+    decided: dict = {}
+    for tag, streams in ebf_streams.items():
+        lengths = [w.size for w in streams]
+        batch = np.zeros((len(streams), max(lengths, default=0)), dtype=stream_dtype)
+        for i, w in enumerate(streams):
+            batch[i, : w.size] = w
+        out = filter_stream(batch, model.n, ebf_params)
+        decided[tag] = [out[i, :size] for i, size in enumerate(lengths)]
+    for pos, tag, start in pending:
+        rows[pos] = replace(
+            rows[pos],
+            isolation_pct=isolation_percentage(
+                decided[tag][start : start + len(runs)], target
+            ),
+        )
     metadata = {
         "model_digest": model_digest(model),
         "target_sensor": target,

@@ -148,6 +148,32 @@ class TestConfig:
         config = write_config(tmp_path, {"alpha": 2.0})
         assert main(["--config", config, "simulate", "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lag_depth": True},
+            {"alpha": None},
+            {"sample_period_s": "x"},
+            {"simulate": {"noise_std": "1"}},
+            {"sweep": {"amplitudes": ["a"]}},
+            {"simulate": {"seed": -1}},
+            {"ebf": {"reward": True}},
+        ],
+        ids=[
+            "lag_depth-bool",
+            "alpha-null",
+            "sample_period_s-string",
+            "noise_std-string",
+            "amplitudes-string",
+            "seed-negative",
+            "reward-bool",
+        ],
+    )
+    def test_ill_typed_value_exit_3(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, overrides)
+        assert main(["--config", config, "simulate", "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_missing_config_file(self, tmp_path):
         assert (
             main(

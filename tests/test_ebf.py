@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sensordiag import (
     NO_DECLARATION,
@@ -201,14 +202,87 @@ class TestFilterStream:
         # threshold is reached in almost every trial
         params = EbfParams()
         rng = np.random.default_rng(72)
-        reached = 0
+        trials = []
         for _ in range(1000):
             correct = rng.random(500) < 0.67
-            winners = np.where(correct, 0, rng.integers(1, 5, size=500))
-            if (filter_stream(winners, 5, params) == 0).any():
-                reached += 1
+            trials.append(np.where(correct, 0, rng.integers(1, 5, size=500)))
+        decided = filter_stream(np.array(trials), 5, params)
+        reached = int((decided == 0).any(axis=1).sum())
         assert reached / 1000 > 0.99
 
     def test_rejects_bad_stream(self):
         with pytest.raises(IndexOutOfRange):
             filter_stream([0, 5], 3, EbfParams())
+
+    def test_rejects_float_winners(self):
+        # used to truncate silently: [1.7, 0.2] ran as [1, 0]
+        with pytest.raises(ValueError):
+            filter_stream([1.7, 0.2], 3, EbfParams())
+        with pytest.raises(ValueError):
+            filter_stream(np.array([[1.0, 0.0]]), 3, EbfParams())
+
+    def test_rejects_bool_winners(self):
+        with pytest.raises(ValueError):
+            filter_stream([True, False], 3, EbfParams())
+
+    @pytest.mark.parametrize("winners", [np.int64(1), np.zeros((2, 3, 4), dtype=int)])
+    def test_rejects_other_ndim(self, winners):
+        with pytest.raises(ValueError):
+            filter_stream(winners, 3, EbfParams())
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 5), (3, 0)])
+    def test_empty_stream_is_valid(self, shape):
+        winners = [] if shape == (0,) else np.zeros(shape, dtype=int)
+        out = filter_stream(winners, 3, EbfParams())
+        assert out.shape == shape
+
+    def test_batch_rows_start_fresh(self):
+        # row 1 would declare at step 20 only if row 0's evidence leaked in
+        params = EbfParams()
+        batch = np.zeros((2, 25), dtype=np.int8)
+        batch[1, :] = 1
+        out = filter_stream(batch, 2, params)
+        assert out.dtype == np.int8  # a signed batch keeps its compact dtype
+        np.testing.assert_array_equal(out[0], filter_stream(batch[0], 2, params))
+        assert (out[1, :19] == NO_DECLARATION).all() and out[1, 19] == 1
+
+
+@st.composite
+def ebf_params(draw):
+    lower = draw(st.floats(min_value=-0.5, max_value=0.0))
+    upper = draw(st.floats(min_value=0.01, max_value=2.0))
+    return EbfParams(
+        reward=draw(st.floats(min_value=0.001, max_value=0.3)),
+        penalty=draw(st.floats(min_value=-0.3, max_value=-0.001)),
+        decision_threshold=draw(
+            st.floats(min_value=lower, max_value=upper, exclude_min=True)
+        ),
+        upper_sat=upper,
+        lower_sat=lower,
+    )
+
+
+@st.composite
+def winner_batches(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    shape = (draw(st.integers(0, 5)), draw(st.integers(0, 80)))
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int64, np.uint8]))
+    return n, draw(arrays(dtype, shape, elements=st.integers(0, n - 1)))
+
+
+class TestBatchedFilterOracle:
+    @given(case=winner_batches(), params=ebf_params())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_stream_and_iterated_steps(self, case, params):
+        n, batch = case
+        out = filter_stream(batch, n, params)
+        assert out.shape == batch.shape
+        for row, decided in zip(batch, out):
+            np.testing.assert_array_equal(decided, filter_stream(row, n, params))
+            state = EbfState.fresh(n)
+            expected = []
+            for w in row:
+                state = ebf_step(state, int(w), params)
+                declared = ebf_decide(state, params)
+                expected.append(NO_DECLARATION if declared is None else declared)
+            np.testing.assert_array_equal(decided, np.array(expected, dtype=int))

@@ -14,6 +14,7 @@ from sensordiag import (
     contribution_matrix,
     default_sim_config,
     embed_lags,
+    filter_stream,
     fit_pca,
     fit_scaler,
     inject_fault,
@@ -243,6 +244,42 @@ class TestSweep:
         amp = 50.0 * model.residual_std(0)
         rep = sweep(model, runs, 0, [amp], [(RBC_T2, True)], onset_k=390)
         assert rep.rows[0].isolation_pct == 0.0
+
+    @pytest.mark.parametrize("onset_k", [None, 150])
+    def test_batched_filter_matches_per_stream_reference(self, onset_k):
+        # ragged runs: the batched pass right-pads the shorter streams
+        model = small_model()
+        lengths = (260, 400, 330)
+        runs = [simulate(small_config(seed=300 + j, m=m)) for j, m in enumerate(lengths)]
+        res = model.residual_std(0)
+        grid = [2.0 * res, 0.0, -4.0 * res, 0.5 * res]
+        variants = [(RBC_T2, True), (CP_SPE, False), (RBC_T2, False), (CP_SPE, True)]
+        params = EbfParams()
+        rep = sweep(model, runs, 0, grid, variants, onset_k=onset_k, ebf_params=params)
+        rows = iter(rep.rows)
+        declared_somewhere = False
+        for amplitude in grid:
+            for tag, use_ebf in variants:
+                row = next(rows)
+                assert (row.amplitude, row.method, row.index, row.ebf) == (
+                    amplitude, tag.method.value, tag.index.value, use_ebf
+                )
+                if amplitude == 0.0:
+                    assert row.skipped
+                    continue
+                decided = []
+                for run in runs:
+                    onset = run.m // 2 if onset_k is None else onset_k
+                    faulty = inject_fault(run, FaultSpec(0, amplitude, onset))
+                    scaled = apply_scaler(faulty, model.base_scaler)
+                    z = embed_lags(scaled, LagSpec(model.d)).samples[onset - model.d :]
+                    winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
+                    decided.append(
+                        filter_stream(winners, model.n, params) if use_ebf else winners
+                    )
+                assert row.isolation_pct == isolation_percentage(decided, 0)
+                declared_somewhere |= use_ebf and row.isolation_pct > 0.0
+        assert declared_somewhere
 
     def test_report_files_round_trip(self, tmp_path):
         model = small_model()

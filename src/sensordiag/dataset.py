@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CsvParseError, DimensionMismatch, LagTooLarge, ZeroVarianceColumn
 
@@ -225,24 +226,18 @@ def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
     m, n = data.samples.shape
     if d >= m:
         raise LagTooLarge(f"lag depth {d} requires more than {m} samples")
-    if d == 0:
-        return ScaledDataset(
-            samples=data.samples.copy(),
-            scaler=data.scaler,
-            sensor_names=data.sensor_names,
-            sample_period_s=data.sample_period_s,
-            lag_depth=0,
+    # One strided copy: the window axis is reversed so lag 0 comes first.
+    windows = sliding_window_view(data.samples, d + 1, axis=0)[:, :, ::-1]
+    out = np.array(windows.transpose(0, 2, 1), order="C").reshape(m - d, n * (d + 1))
+    names, scaler = data.sensor_names, data.scaler
+    if d:
+        names = tuple(
+            f"{name}@lag{lag}" for lag in range(d + 1) for name in data.sensor_names
         )
-    out = np.empty((m - d, n * (d + 1)), dtype=data.samples.dtype)
-    for lag in range(d + 1):
-        out[:, lag * n : (lag + 1) * n] = data.samples[d - lag : m - lag, :]
-    names = tuple(
-        f"{name}@lag{lag}" for lag in range(d + 1) for name in data.sensor_names
-    )
-    scaler = ScalerParams(
-        mean=np.tile(data.scaler.mean, d + 1),
-        std=np.tile(data.scaler.std, d + 1),
-    )
+        scaler = ScalerParams(
+            mean=np.tile(data.scaler.mean, d + 1),
+            std=np.tile(data.scaler.std, d + 1),
+        )
     return ScaledDataset(
         samples=out,
         scaler=scaler,

@@ -33,15 +33,15 @@ class IndexSample:
     t2_exceeds: bool
 
 
-def _as_rows(model: "PcaModel", x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _rows(model: "PcaModel", x: np.ndarray) -> np.ndarray:
+    """``x`` as an (m, n_e) float batch; a single sample becomes one row."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
+    rows = x[None, :] if x.ndim == 1 else x
     if rows.ndim != 2 or rows.shape[1] != model.n_e:
         raise DimensionMismatch(
             f"expected vectors of length {model.n_e}, got shape {x.shape}"
         )
-    return rows, single
+    return rows
 
 
 def spe(model: "PcaModel", x: np.ndarray):
@@ -50,22 +50,22 @@ def spe(model: "PcaModel", x: np.ndarray):
     Accepts a single vector (returns a float) or a matrix of row vectors
     (returns one value per row).
     """
-    rows, single = _as_rows(model, x)
+    rows = _rows(model, x)
     scores = rows @ model.p_tilde
     values = np.einsum("ij,ij->i", scores, scores)
-    return float(values[0]) if single else values
+    return float(values[0]) if np.ndim(x) == 1 else values
 
 
 def t2(model: "PcaModel", x: np.ndarray):
     """Hotelling statistic: eigenvalue-weighted squared principal scores."""
-    rows, single = _as_rows(model, x)
+    rows = _rows(model, x)
     if model.l == 0 or (model.lambda_hat <= 1e-12).any():
         raise SingularLambda(
             "a retained eigenvalue is numerically zero; T2 is undefined"
         )
     scores = rows @ model.p_hat / np.sqrt(model.lambda_hat)
     values = np.einsum("ij,ij->i", scores, scores)
-    return float(values[0]) if single else values
+    return float(values[0]) if np.ndim(x) == 1 else values
 
 
 def fit_threshold(values, alpha: float) -> float:

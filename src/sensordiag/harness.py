@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import LagSpec, RawDataset, apply_scaler, embed_lags
 from .ebf import EbfParams, filter_stream
-from .errors import EmptySample, IndexOutOfRange, UnstableConfig, ZeroAmplitude
+from .errors import DimensionMismatch, EmptySample, IndexOutOfRange, UnstableConfig, ZeroAmplitude
 from .isolation import (
     ContributionMethod,
     DetectionIndex,
@@ -221,11 +221,15 @@ def isolation_percentage(winner_runs, target: int) -> float:
 
     The ratio pools counts across runs (sum of hits over sum of samples),
     which weights long runs more than a mean of per-run ratios would.
+    Winners must be integer sensor indices; float or bool runs raise
+    ``ValueError`` rather than being truncated.
     """
     total = 0
     correct = 0
     for run in winner_runs:
-        arr = np.asarray(run, dtype=int)
+        arr = np.asarray(run)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"winners must be integers, got dtype {arr.dtype}")
         total += arr.size
         correct += int((arr == target).sum())
     if total == 0:
@@ -369,8 +373,6 @@ def sweep(
         raise IndexOutOfRange(f"target sensor {target} not in [0, {model.n})")
     for run in runs:
         if run.sensor_names != model.sensor_names:
-            from .errors import DimensionMismatch
-
             raise DimensionMismatch(
                 "validation run sensor names do not match the model"
             )

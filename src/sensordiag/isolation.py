@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .detection import _rows
 from .errors import DegenerateDirection, DimensionMismatch, IndexOutOfRange
 
 if TYPE_CHECKING:
@@ -130,19 +131,24 @@ def _kernel(model: "PcaModel", tag: IsolationMethod) -> np.ndarray:
     return model.d_mat
 
 
-def _rbc_denominators(model: "PcaModel", kernel: np.ndarray, what: str) -> np.ndarray:
-    u = direction_matrix(model)
-    dens = np.einsum("ji,jk,ki->i", u, kernel, u)
-    bad = np.nonzero(dens < _DEGENERATE_TOL)[0]
-    if bad.size:
-        raise DegenerateDirection(int(bad[0]), what)
-    return dens
+def _attribution(
+    model: "PcaModel", tag: IsolationMethod
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(K·U, diag(UᵀKU))`` of the variant's kernel ``K``, built once per model.
 
-
-def _lag_aggregate(model: "PcaModel", v: np.ndarray) -> np.ndarray:
-    """Sum each sensor's lag-copy components: rows (m, n_e) -> (m, n)."""
-    m = v.shape[0]
-    return v.reshape(m, model.d + 1, model.n).sum(axis=1)
+    Kept in the model's instance dict beside the cached kernels. Column ``s``
+    is ``K @ u`` and its denominator ``u @ (K @ u)`` for ``u = direction(s)``,
+    so both match the per-sensor products bit for bit at any ``n``; a single
+    ``K @ U`` may sum the lag copies in another order.
+    """
+    cache = vars(model).setdefault("_attribution", {})
+    if tag not in cache:
+        kernel = _kernel(model, tag)
+        dirs = [direction(model, s) for s in range(model.n)]
+        cols = [kernel @ u for u in dirs]
+        dens = np.array([u @ col for u, col in zip(dirs, cols)])
+        cache[tag] = (np.stack(cols, axis=1), dens)
+    return cache[tag]
 
 
 def contribution_matrix(
@@ -152,18 +158,15 @@ def contribution_matrix(
 
     Returns an (m, n) array; each row is the score vector of one sample.
     """
-    x = np.asarray(x, dtype=float)
-    rows = x[None, :] if x.ndim == 1 else x
-    if rows.ndim != 2 or rows.shape[1] != model.n_e:
-        raise DimensionMismatch(
-            f"expected vectors of length {model.n_e}, got shape {x.shape}"
-        )
-    kernel = _kernel(model, tag)
-    agg = _lag_aggregate(model, rows @ kernel)
-    scores = agg**2
-    if tag.method is ContributionMethod.RBC:
-        scores = scores / _rbc_denominators(model, kernel, str(tag))
-    return scores
+    rows = _rows(model, x)
+    ku, dens = _attribution(model, tag)
+    scores = (rows @ ku) ** 2
+    if tag.method is ContributionMethod.CP:
+        return scores
+    bad = np.flatnonzero(dens < _DEGENERATE_TOL)
+    if bad.size:
+        raise DegenerateDirection(int(bad[0]), str(tag))
+    return scores / dens
 
 
 def contributions(
@@ -184,30 +187,24 @@ def isolate(model: "PcaModel", x: np.ndarray, method_tag: IsolationMethod) -> in
     return contributions(model, x, method_tag).winner
 
 
-def _estimate_kernel(model: "PcaModel", index: DetectionIndex) -> np.ndarray:
-    return model.c_tilde if index is DetectionIndex.SPE else model.d_mat
-
-
 def estimate_matrix(
     model: "PcaModel",
     x: np.ndarray,
     sensor: int,
     index: DetectionIndex = DetectionIndex.SPE,
 ) -> np.ndarray:
-    """Standardized fault amplitudes along one sensor for a batch of rows."""
-    x = np.asarray(x, dtype=float)
-    rows = x[None, :] if x.ndim == 1 else x
-    if rows.ndim != 2 or rows.shape[1] != model.n_e:
-        raise DimensionMismatch(
-            f"expected vectors of length {model.n_e}, got shape {x.shape}"
-        )
-    u = direction(model, sensor)
-    kernel = _estimate_kernel(model, index)
-    ku = kernel @ u
-    den = float(u @ ku)
-    if den < _DEGENERATE_TOL:
+    """Standardized fault amplitudes along one sensor for a batch of rows.
+
+    Reads column ``sensor`` of the cached kernel of the RBC variant of
+    ``index``, so estimates and RBC scores share one computation.
+    """
+    rows = _rows(model, x)
+    if not 0 <= sensor < model.n:
+        raise IndexOutOfRange(f"sensor {sensor} not in [0, {model.n})")
+    ku, dens = _attribution(model, IsolationMethod(ContributionMethod.RBC, index))
+    if dens[sensor] < _DEGENERATE_TOL:
         raise DegenerateDirection(sensor, f"amplitude estimation ({index.value})")
-    return rows @ ku / den
+    return rows @ ku[:, sensor] / dens[sensor]
 
 
 def estimate_fault(

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from sensordiag import (
+    ContributionMethod,
+    DetectionIndex,
     LagSpec,
     PcaModel,
     RawDataset,
     ScaledDataset,
     ScalerParams,
     apply_scaler,
+    direction,
+    direction_matrix,
     embed_lags,
     fit_pca,
     fit_scaler,
@@ -67,3 +71,38 @@ def make_model(
     alpha: float = 0.01,
 ) -> PcaModel:
     return fit_pca(make_scaled(n=n, m=m, seed=seed, d=d), variance_fraction, alpha)
+
+
+def oracle_kernel(model: PcaModel, method, index) -> np.ndarray:
+    """The variant's kernel K, read straight from the model's projectors."""
+    if index is DetectionIndex.SPE:
+        return model.c_tilde
+    return model.d_sqrt if method is ContributionMethod.CP else model.d_mat
+
+
+def oracle_denominators(model: PcaModel, kernel: np.ndarray) -> np.ndarray:
+    """``diag(UᵀKU)`` from the full ``n_e x n`` direction matrix."""
+    u = direction_matrix(model)
+    return np.einsum("ji,jk,ki->i", u, kernel, u)
+
+
+def oracle_contribution_matrix(model: PcaModel, x, tag) -> np.ndarray:
+    """Direct attribution: the full ``rows @ K`` product, then each sensor's
+    lag copies summed, squared and, for RBC, divided by ``diag(UᵀKU)``."""
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    kernel = oracle_kernel(model, tag.method, tag.index)
+    agg = (rows @ kernel).reshape(len(rows), model.d + 1, model.n).sum(axis=1)
+    scores = agg**2
+    if tag.method is ContributionMethod.RBC:
+        scores = scores / oracle_denominators(model, kernel)
+    return scores
+
+
+def oracle_estimate_matrix(
+    model: PcaModel, x, sensor: int, index=DetectionIndex.SPE
+) -> np.ndarray:
+    """Direct estimate ``rows @ (K @ u) / (uᵀKu)`` for one sensor direction."""
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    u = direction(model, sensor)
+    ku = oracle_kernel(model, ContributionMethod.RBC, index) @ u
+    return rows @ ku / float(u @ ku)

@@ -3,17 +3,20 @@
 ``perfbench/layers.json`` lists, per workload, the spans a traced run has to
 fire; the tracer wraps public functions (and ``EvalReport`` methods) by name
 and the run fails when an expected span never fires. Resolving the names here
-catches a rename that would break the benchmark without running it.
+catches a rename that would break the benchmark without running it, and a tiny
+``eval`` and ``monitor`` run with the same functions wrapped catches a refactor
+that stops reaching one of them.
 """
 
 import importlib
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from sensordiag import ContributionMethod, DetectionIndex
+from sensordiag import ContributionMethod, DetectionIndex, cli
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
 # Contribution spans carry the variant as a suffix, e.g. ".rbc-t2".
@@ -40,3 +43,70 @@ def test_span_names_a_public_function(span):
         assert obj is not None, f"sensordiag.{short} has no {'.'.join(path)}"
     assert inspect.isfunction(obj), f"{span} is not a function"
     assert obj.__module__ == module.__name__, f"{span} is not defined in {module.__name__}"
+
+
+TINY_CONFIG = {
+    "lag_depth": 1,
+    "simulate": {"n_sensors": 3, "m_train": 300, "m_validation": 120, "n_validation_runs": 2},
+    "sweep": {"grid_points": 3},
+}
+
+
+def _record_calls(monkeypatch, spans) -> set:
+    """Wrap each spanned function wherever a sensordiag namespace holds it, as
+    the benchmark's tracer does; returns the set of span names that fired."""
+    fired = set()
+    package = [m for k, m in sys.modules.items() if k.split(".")[0] == "sensordiag"]
+    for name in {VARIANT_SPAN if s.startswith(VARIANT_SPAN + ".") else s for s in spans}:
+        short, *path = name.split(".")
+        owner = importlib.import_module(f"sensordiag.{short}")
+        for attr in path[:-1]:
+            owner = getattr(owner, attr)
+        fn = getattr(owner, path[-1])
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            if _name == VARIANT_SPAN:
+                tag = args[2] if len(args) > 2 else kwargs["tag"]
+                fired.add(f"{_name}.{tag.method.value}-{tag.index.value}")
+            else:
+                fired.add(_name)
+            return _fn(*args, **kwargs)
+
+        if inspect.isclass(owner):
+            monkeypatch.setattr(owner, path[-1], wrapper)
+            continue
+        for module in package:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return fired
+
+
+@pytest.fixture(scope="module")
+def tiny_workspace(tmp_path_factory):
+    """Simulated CSVs, a fitted model and a config small enough for tier-1."""
+    root = tmp_path_factory.mktemp("spans")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    data = root / "data"
+    assert cli.main(["--config", str(config), "simulate", "--out-dir", str(data)]) == 0
+    model = root / "model.json"
+    fit = ["--config", str(config), "fit", str(data / "train.csv"), "--model-out", str(model)]
+    assert cli.main(fit) == 0
+    return root, config, data, model
+
+
+@pytest.mark.parametrize("workload", ["eval_sweep", "monitor_replay"])
+def test_expected_spans_fire_on_a_tiny_run(workload, tiny_workspace, monkeypatch):
+    # A refactor that stops reaching a spanned function (say, an attribution
+    # variant) fails here, not only in the benchmark's traced run.
+    root, config, data, model = tiny_workspace
+    spans = json.loads(LAYERS.read_text(encoding="utf-8"))["expected_spans"][workload]
+    fired = _record_calls(monkeypatch, spans)
+    if workload == "eval_sweep":
+        runs = [str(data / "validation_1.csv"), str(data / "validation_2.csv")]
+        argv = ["eval", str(model), *runs, "--report-out", str(root / "report")]
+    else:
+        argv = ["monitor", str(model), str(data / "validation_1.csv")]
+    assert cli.main(["--config", str(config), *argv]) == 0
+    assert not set(spans) - fired, f"never reached: {sorted(set(spans) - fired)}"

@@ -127,6 +127,22 @@ class TestEmbedLags:
                 for i in range(n):
                     assert out.samples[k, i + lag * n] == x[k + d - lag, i]
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    def test_output_is_a_fresh_contiguous_copy(self, d, n):
+        raw = make_raw(n=n, m=12, seed=5)
+        scaled = apply_scaler(raw, fit_scaler(raw))
+        before = scaled.samples.copy()
+        out = embed_lags(scaled, LagSpec(d))
+        assert out.samples.flags.c_contiguous
+        assert not np.shares_memory(out.samples, scaled.samples)
+        base = out.samples
+        while base is not None:  # not a view of the input at any depth
+            assert base is not scaled.samples
+            base = base.base
+        out.samples[:] = 0.0
+        np.testing.assert_array_equal(scaled.samples, before)
+
     def test_extended_scaler_tiling(self):
         raw = make_raw(n=3, m=30, seed=4)
         scaled = apply_scaler(raw, fit_scaler(raw))

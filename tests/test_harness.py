@@ -17,6 +17,7 @@ from sensordiag import (
     filter_stream,
     fit_pca,
     fit_scaler,
+    harness,
     inject_fault,
     isolation_percentage,
     reconstruction_error,
@@ -30,6 +31,7 @@ from sensordiag.errors import (
     UnstableConfig,
     ZeroAmplitude,
 )
+from conftest import oracle_contribution_matrix, oracle_estimate_matrix
 
 CP_SPE = IsolationMethod(ContributionMethod.CP, DetectionIndex.SPE)
 CP_T2 = IsolationMethod(ContributionMethod.CP, DetectionIndex.T2)
@@ -174,6 +176,25 @@ class TestMetrics:
         with pytest.raises(EmptySample):
             isolation_percentage([[], []], target=0)
 
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [[2.7, 2.2, 1.0]],  # would truncate to [2, 2, 1]: 66.7 %
+            [[2, 2], [2.0]],
+            [np.array([2.0, 2.0])],
+            [[True, False]],
+            [np.array([1, 0], dtype=bool)],
+        ],
+    )
+    def test_non_integer_winners_rejected(self, runs):
+        with pytest.raises(ValueError, match="integers"):
+            isolation_percentage(runs, target=2)
+
+    def test_small_integer_dtypes_accepted(self):
+        runs = [np.array([2, 2, 1], dtype=np.int8), np.array([2], dtype=np.uint8)]
+        assert isolation_percentage(runs, target=2) == 75.0
+        assert isolation_percentage([[], [2]], target=2) == 100.0
+
     def test_perfect_estimates(self):
         assert reconstruction_error([[2.0, 2.0], [2.0]], amplitude=2.0) == 0.0
 
@@ -280,6 +301,25 @@ class TestSweep:
                 assert row.isolation_pct == isolation_percentage(decided, 0)
                 declared_somewhere |= use_ebf and row.isolation_pct > 0.0
         assert declared_somewhere
+
+    def test_rows_match_direct_attribution(self, monkeypatch):
+        # the same sweep with the direct rows @ K attribution and per-sensor
+        # estimates patched in must give exactly the same report rows
+        model = small_model()
+        runs = [simulate(small_config(seed=310 + j, m=m)) for j, m in enumerate((300, 360))]
+        res = model.residual_std(0)
+        grid = [-4.0 * res, -0.7 * res, 0.0, 0.3 * res, 2.0 * res, 6.0 * res]
+        variants = [(tag, False) for tag in (CP_SPE, CP_T2, RBC_SPE, RBC_T2)]
+        variants.append((RBC_T2, True))
+        rep = sweep(model, runs, 0, grid, variants)
+        monkeypatch.setattr(harness, "contribution_matrix", oracle_contribution_matrix)
+        monkeypatch.setattr(harness, "estimate_matrix", oracle_estimate_matrix)
+        ref = sweep(model, runs, 0, grid, variants)
+        assert len(rep.rows) == len(ref.rows) == len(grid) * len(variants)
+        for row, expected in zip(rep.rows, ref.rows):
+            assert row == expected
+            assert row.isolation_pct == expected.isolation_pct
+            assert row.recon_err_pct == expected.recon_err_pct
 
     def test_report_files_round_trip(self, tmp_path):
         model = small_model()

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensordiag import (
     ContributionMethod,
     DetectionIndex,
     IsolationMethod,
+    PcaModel,
+    ScalerParams,
     contribution_matrix,
     contributions,
     direction,
@@ -22,7 +26,14 @@ from sensordiag.errors import (
     DimensionMismatch,
     IndexOutOfRange,
 )
-from conftest import make_model, make_scaled
+from conftest import (
+    make_model,
+    make_scaled,
+    oracle_contribution_matrix,
+    oracle_denominators,
+    oracle_estimate_matrix,
+    oracle_kernel,
+)
 
 CP_SPE = IsolationMethod(ContributionMethod.CP, DetectionIndex.SPE)
 CP_T2 = IsolationMethod(ContributionMethod.CP, DetectionIndex.T2)
@@ -276,3 +287,138 @@ class TestReconstruct:
         grid = np.linspace(-10.0, 10.0, 2001)
         u = direction(model, 2)
         assert t2(model, z) <= min(t2(model, x - u * f) for f in grid) + 1e-9
+
+
+def assert_same_winners(scores: np.ndarray, reference: np.ndarray) -> None:
+    """Argmax per row must match the reference; a row may differ only where
+    the reference itself ties its top score within ``rtol=1e-9`` (rank-one
+    kernels give every sensor the same RBC score)."""
+    win = np.argmax(scores, axis=1)
+    ref = np.argmax(reference, axis=1)
+    differs = win != ref
+    top = reference[differs, ref[differs]]
+    np.testing.assert_allclose(reference[differs, win[differs]], top, rtol=1e-9)
+
+
+def axis_model() -> PcaModel:
+    """Plain 2-sensor model whose sensor 0 spans the principal subspace and
+    sensor 1 the residual one: RBC-SPE is degenerate for sensor 0 and
+    RBC-T2 for sensor 1."""
+    return PcaModel(
+        p_hat=np.array([[1.0], [0.0]]),
+        p_tilde=np.array([[0.0], [1.0]]),
+        lambda_hat=np.array([2.0]),
+        lambda_tilde=np.array([0.5]),
+        l=1,
+        n=2,
+        d=0,
+        scaler=ScalerParams(np.zeros(2), np.ones(2)),
+        sensor_names=("a", "b"),
+        variance_fraction=0.9,
+        alpha=0.01,
+        spe_limit=1.0,
+        t2_limit=1.0,
+    )
+
+
+class TestAttributionKernelOracle:
+    """The cached ``K·U`` kernel against the direct ``rows @ K`` computation."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=5),
+        d=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        vf=st.sampled_from([0.6, 0.9, 0.99]),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_computation(self, n, d, seed, vf, scale):
+        model = make_model(n=n, m=200, seed=seed, d=d, variance_fraction=vf)
+        rng = np.random.default_rng(seed)
+        amps = rng.uniform(-10.0, 10.0, model.n)
+        rows = np.vstack(
+            [
+                scale * rng.standard_normal((6, model.n_e)),
+                np.zeros((1, model.n_e)),
+                [a * direction(model, s) for s, a in enumerate(amps)],
+            ]
+        )
+        for tag in ALL_METHODS:
+            kernel = oracle_kernel(model, tag.method, tag.index)
+            dens = oracle_denominators(model, kernel)
+            if tag.method is ContributionMethod.RBC and (dens < 1e-12).any():
+                with pytest.raises(DegenerateDirection) as err:
+                    contribution_matrix(model, rows, tag)
+                assert err.value.sensor == int(np.flatnonzero(dens < 1e-12)[0])
+                continue
+            scores = contribution_matrix(model, rows, tag)
+            reference = oracle_contribution_matrix(model, rows, tag)
+            np.testing.assert_allclose(scores, reference, rtol=1e-9)
+            assert_same_winners(scores, reference)
+        for index in DetectionIndex:
+            kernel = oracle_kernel(model, ContributionMethod.RBC, index)
+            dens = oracle_denominators(model, kernel)
+            for sensor in range(model.n):
+                if dens[sensor] < 1e-12:
+                    with pytest.raises(DegenerateDirection):
+                        estimate_matrix(model, rows, sensor, index)
+                    continue
+                assert np.array_equal(
+                    estimate_matrix(model, rows, sensor, index),
+                    oracle_estimate_matrix(model, rows, sensor, index),
+                )
+
+    @pytest.mark.parametrize("d", [0, 10])
+    def test_estimate_bit_identical_on_sweep_sized_model(self, d):
+        model = make_model(n=8, m=2000, seed=75, d=d)
+        rows = np.random.default_rng(76).standard_normal((500, model.n_e))
+        for index in DetectionIndex:
+            for sensor in range(model.n):
+                assert np.array_equal(
+                    estimate_matrix(model, rows[3:], sensor, index),
+                    oracle_estimate_matrix(model, rows[3:], sensor, index),
+                )
+
+
+class TestAttributionErrors:
+    """Error contract of the cached-kernel path, on first and later calls."""
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 1), (2, 2, 2)])
+    def test_contribution_width_mismatch(self, ref2, shape):
+        for tag in ALL_METHODS:
+            with pytest.raises(DimensionMismatch):
+                contribution_matrix(ref2, np.zeros(shape), tag)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 1), (2, 2, 2)])
+    def test_estimate_width_mismatch(self, ref2, shape):
+        for index in DetectionIndex:
+            with pytest.raises(DimensionMismatch):
+                estimate_matrix(ref2, np.zeros(shape), 0, index)
+
+    @pytest.mark.parametrize("sensor", [-1, 2, 5])
+    def test_estimate_sensor_out_of_range(self, ref2, sensor):
+        for index in DetectionIndex:
+            estimate_matrix(ref2, np.zeros((3, 2)), 1, index)  # kernel cached
+            with pytest.raises(IndexOutOfRange):
+                estimate_matrix(ref2, np.zeros((3, 2)), sensor, index)
+
+    def test_degenerate_contribution_raises_every_call(self):
+        model = axis_model()
+        x = np.ones((3, 2))
+        for tag, sensor in ((RBC_SPE, 0), (RBC_T2, 1)):
+            for _ in range(3):
+                with pytest.raises(DegenerateDirection) as err:
+                    contribution_matrix(model, x, tag)
+                assert err.value.sensor == sensor
+        for tag in (CP_SPE, CP_T2):  # plain contributions have no denominator
+            assert contribution_matrix(model, x, tag).shape == (3, 2)
+
+    def test_degenerate_estimate_raises_every_call(self):
+        model = axis_model()
+        x = np.ones((3, 2))
+        for index, ok, bad in ((DetectionIndex.SPE, 1, 0), (DetectionIndex.T2, 0, 1)):
+            for _ in range(3):
+                np.testing.assert_array_equal(estimate_matrix(model, x, ok, index), 1.0)
+                with pytest.raises(DegenerateDirection) as err:
+                    estimate_matrix(model, x, bad, index)
+                assert err.value.sensor == bad

@@ -315,30 +315,27 @@ def cmd_monitor(args, cfg: dict) -> int:
     z = embedded.samples
     spe_vals = spe(model, z)
     t2_vals = t2(model, z)
-    winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
+    spe_exceeds = (spe_vals > model.spe_limit).tolist()
+    t2_exceeds = (t2_vals > model.t2_limit).tolist()
+    winners = contribution_matrix(model, z, tag).argmax(axis=1).tolist()
+    spe_list = spe_vals.tolist()
+    t2_list = t2_vals.tolist()
     state = EbfState.fresh(model.n)
     out = sys.stdout
-    for e in range(z.shape[0]):
-        spe_exceeds = bool(spe_vals[e] > model.spe_limit)
-        t2_exceeds = bool(t2_vals[e] > model.t2_limit)
-        if not gate or spe_exceeds or t2_exceeds:
-            state = ebf_step(state, int(winners[e]), params)
-        declared = ebf_decide(state, params)
-        out.write(
-            json.dumps(
-                {
-                    "k": e + model.d,
-                    "spe": float(spe_vals[e]),
-                    "t2": float(t2_vals[e]),
-                    "spe_exceeds": spe_exceeds,
-                    "t2_exceeds": t2_exceeds,
-                    "raw_winner": int(winners[e]),
-                    "ebf_declared": declared,
-                    "s": state.s.tolist(),
-                }
-            )
-            + "\n"
-        )
+    for e, winner in enumerate(winners):
+        if not gate or spe_exceeds[e] or t2_exceeds[e]:
+            state = ebf_step(state, winner, params)
+        record = {
+            "k": e + model.d,
+            "spe": spe_list[e],
+            "t2": t2_list[e],
+            "spe_exceeds": spe_exceeds[e],
+            "t2_exceeds": t2_exceeds[e],
+            "raw_winner": winner,
+            "ebf_declared": ebf_decide(state, params),
+            "s": state.s.tolist(),
+        }
+        out.write(json.dumps(record) + "\n")
     return 0
 
 

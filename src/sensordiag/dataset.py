@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -247,11 +248,33 @@ def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
     )
 
 
+# Body rows converted per vectorised step. A chunk that fails any check on
+# read is rescanned row by row only to name its first bad line.
+_CSV_CHUNK_ROWS = 8192
+
+
+def _first_csv_error(path: Path, rows: list[list[str]], n: int, first: int) -> CsvParseError:
+    """The error of the first bad row in ``rows``, which start at line ``first``."""
+    for lineno, row in enumerate(rows, start=first):
+        if len(row) != n:
+            return CsvParseError(f"{path}:{lineno}: expected {n} cells, got {len(row)}")
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            return CsvParseError(f"{path}:{lineno}: unparseable cell")
+        if not all(math.isfinite(v) for v in values):
+            return CsvParseError(f"{path}:{lineno}: non-finite value")
+    # numpy converts each str cell with float() itself, so a chunk it
+    # rejects always holds a row that fails one of the checks above.
+    raise AssertionError(f"{path}:{first}: chunk rejected but no bad row found")
+
+
 def read_raw_csv(path: str | Path, sample_period_s: float = 0.1) -> RawDataset:
     """Read a strict CSV: header row of sensor names, body of finite floats.
 
-    Any missing, empty, or non-finite cell is a hard error; silent repair
-    would make experiments irreproducible.
+    Any missing, empty, or non-finite cell is a hard error naming its line
+    (``<path>:<line>: ...``); silent repair would make experiments
+    irreproducible. Cells are parsed with Python's ``float``.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -266,33 +289,36 @@ def read_raw_csv(path: str | Path, sample_period_s: float = 0.1) -> RawDataset:
         if len(set(names)) != len(names):
             raise CsvParseError(f"{path}: duplicate sensor names in header")
         n = len(names)
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n:
-                raise CsvParseError(
-                    f"{path}:{lineno}: expected {n} cells, got {len(row)}"
-                )
+        blocks: list[np.ndarray] = []
+        lineno = 2
+        while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
             try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise CsvParseError(f"{path}:{lineno}: unparseable cell") from None
-            if not all(math.isfinite(v) for v in values):
-                raise CsvParseError(f"{path}:{lineno}: non-finite value")
-            rows.append(values)
-    if len(rows) < 2:
-        raise CsvParseError(f"{path}: need at least 2 data rows, got {len(rows)}")
+                block = np.array(chunk, dtype=float)  # float() on every cell
+            except ValueError:  # a ragged row or an unparseable cell
+                block = None
+            if block is None or block.shape[1:] != (n,) or not np.isfinite(block).all():
+                raise _first_csv_error(path, chunk, n, lineno)
+            blocks.append(block)
+            lineno += len(chunk)
+    m = lineno - 2
+    if m < 2:
+        raise CsvParseError(f"{path}: need at least 2 data rows, got {m}")
     return RawDataset(
-        samples=np.array(rows, dtype=float),
+        samples=blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
         sensor_names=tuple(names),
         sample_period_s=sample_period_s,
     )
 
 
 def write_raw_csv(data: RawDataset, path: str | Path) -> None:
-    """Write a dataset in the same strict CSV layout ``read_raw_csv`` accepts."""
+    """Write a dataset in the same strict CSV layout ``read_raw_csv`` accepts.
+
+    ``csv`` writes each float as its ``repr``, so a read gives back the same
+    bits. Rows are converted a chunk at a time to bound memory.
+    """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(data.sensor_names)
-        for row in data.samples:
-            writer.writerow([repr(float(v)) for v in row])
+        for start in range(0, data.m, _CSV_CHUNK_ROWS):
+            writer.writerows(data.samples[start : start + _CSV_CHUNK_ROWS].tolist())

@@ -65,9 +65,12 @@ def ebf_step(state: EbfState, winner: int, params: EbfParams) -> EbfState:
     n = state.s.shape[0]
     if not 0 <= winner < n:
         raise IndexOutOfRange(f"winner {winner} not in [0, {n})")
-    g = np.full(n, params.penalty)
-    g[winner] = params.reward
-    s = np.clip(state.s + g, params.lower_sat, params.upper_sat)
+    s = state.s + params.penalty
+    s[winner] = state.s[winner] + params.reward
+    # ndarray.clip is np.clip without its wrappers; np.maximum/np.minimum
+    # would differ from it where a sum ties a saturation bound of opposite
+    # zero sign.
+    s.clip(params.lower_sat, params.upper_sat, out=s)
     return EbfState(s=s, k=state.k + 1)
 
 
@@ -77,7 +80,7 @@ def ebf_decide(state: EbfState, params: EbfParams) -> int | None:
     Among sensors at or above the threshold the one with the most evidence
     wins; ties break to the lowest index.
     """
-    top = int(np.argmax(state.s))
+    top = int(state.s.argmax())
     if state.s[top] >= params.decision_threshold - _DECISION_TOL:
         return top
     return None

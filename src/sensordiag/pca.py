@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -340,7 +341,7 @@ def load_model(path: str | Path) -> PcaModel:
     """Load a model saved by :func:`save_model`, validating shape consistency."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also bad UTF-8 and over-long integers
         raise CorruptModelFile(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise CorruptModelFile(f"{path}: top-level JSON object expected")
@@ -355,8 +356,22 @@ def load_model(path: str | Path) -> PcaModel:
     unknown = raw.keys() - _REQUIRED_KEYS
     if unknown:
         raise CorruptModelFile(f"{path}: unknown keys {sorted(unknown)}")
+    for key in ("n", "d", "l"):
+        if type(raw[key]) is not int:  # "8", 8.5 and true are not counts
+            raise CorruptModelFile(f"{path}: {key} must be a JSON integer, got {raw[key]!r}")
+    for key in ("spe_limit", "t2_limit"):
+        # 0.0 is a valid limit: a fit that keeps every component has SPE == 0.
+        limit = raw[key]
+        try:
+            valid = type(limit) in (int, float) and math.isfinite(limit) and limit >= 0
+        except OverflowError:  # an integer too large for a float
+            valid = False
+        if not valid:
+            raise CorruptModelFile(
+                f"{path}: {key} must be a finite non-negative number, got {limit!r}"
+            )
     try:
-        n, d, l = int(raw["n"]), int(raw["d"]), int(raw["l"])
+        n, d, l = raw["n"], raw["d"], raw["l"]
         n_e = n * (d + 1)
         scaler = ScalerParams(
             mean=np.asarray(raw["scaler"]["mean"], dtype=float),

@@ -1,21 +1,33 @@
+import csv
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sensordiag import (
     ContributionMethod,
     DetectionIndex,
+    EbfState,
+    IsolationMethod,
     LagSpec,
     PcaModel,
     RawDataset,
     ScaledDataset,
     ScalerParams,
     apply_scaler,
+    contribution_matrix,
     direction,
     direction_matrix,
     embed_lags,
     fit_pca,
     fit_scaler,
+    spe,
+    t2,
 )
+from sensordiag.ebf import _DECISION_TOL
+from sensordiag.errors import CsvParseError, IndexOutOfRange
 
 REF2_EIGVALS = np.array([1.8, 0.2])
 REF2_V = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -106,3 +118,98 @@ def oracle_estimate_matrix(
     u = direction(model, sensor)
     ku = oracle_kernel(model, ContributionMethod.RBC, index) @ u
     return rows @ ku / float(u @ ku)
+
+
+def oracle_read_raw_csv(path, sample_period_s: float = 0.1) -> RawDataset:
+    """Row-by-row reader: ``float()`` on each cell, checks in line order."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvParseError(f"{path}: file is empty") from None
+        names = [h.strip() for h in header]
+        if any(not h for h in names):
+            raise CsvParseError(f"{path}: blank sensor name in header")
+        if len(set(names)) != len(names):
+            raise CsvParseError(f"{path}: duplicate sensor names in header")
+        n = len(names)
+        rows: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n:
+                raise CsvParseError(
+                    f"{path}:{lineno}: expected {n} cells, got {len(row)}"
+                )
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise CsvParseError(f"{path}:{lineno}: unparseable cell") from None
+            if not all(math.isfinite(v) for v in values):
+                raise CsvParseError(f"{path}:{lineno}: non-finite value")
+            rows.append(values)
+    if len(rows) < 2:
+        raise CsvParseError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    return RawDataset(
+        samples=np.array(rows, dtype=float),
+        sensor_names=tuple(names),
+        sample_period_s=sample_period_s,
+    )
+
+
+def oracle_write_raw_csv(data: RawDataset, path) -> None:
+    """Per-cell writer: every value formatted with ``repr`` before ``csv``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.sensor_names)
+        for row in data.samples:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def oracle_ebf_step(state: EbfState, winner: int, params) -> EbfState:
+    """One accumulator step from a full gain vector and ``np.clip``."""
+    n = state.s.shape[0]
+    if not 0 <= winner < n:
+        raise IndexOutOfRange(f"winner {winner} not in [0, {n})")
+    g = np.full(n, params.penalty)
+    g[winner] = params.reward
+    s = np.clip(state.s + g, params.lower_sat, params.upper_sat)
+    return EbfState(s=s, k=state.k + 1)
+
+
+def oracle_ebf_decide(state: EbfState, params) -> int | None:
+    top = int(np.argmax(state.s))
+    if state.s[top] >= params.decision_threshold - _DECISION_TOL:
+        return top
+    return None
+
+
+def oracle_monitor_ndjson(model: PcaModel, csv_path, monitor: dict, params) -> str:
+    """The monitor stream built one ``json.dumps`` per sample."""
+    data = oracle_read_raw_csv(csv_path)
+    z = embed_lags(apply_scaler(data, model.base_scaler), LagSpec(model.d)).samples
+    tag = IsolationMethod(
+        ContributionMethod(monitor["method"]), DetectionIndex(monitor["index"])
+    )
+    spe_vals = spe(model, z)
+    t2_vals = t2(model, z)
+    winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
+    state = EbfState.fresh(model.n)
+    lines = []
+    for e in range(z.shape[0]):
+        spe_exceeds = bool(spe_vals[e] > model.spe_limit)
+        t2_exceeds = bool(t2_vals[e] > model.t2_limit)
+        if not monitor["gate_on_detection"] or spe_exceeds or t2_exceeds:
+            state = oracle_ebf_step(state, int(winners[e]), params)
+        record = {
+            "k": e + model.d,
+            "spe": float(spe_vals[e]),
+            "t2": float(t2_vals[e]),
+            "spe_exceeds": spe_exceeds,
+            "t2_exceeds": t2_exceeds,
+            "raw_winner": int(winners[e]),
+            "ebf_declared": oracle_ebf_decide(state, params),
+            "s": state.s.tolist(),
+        }
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines)

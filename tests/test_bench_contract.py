@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sensordiag import ContributionMethod, DetectionIndex, cli
+from sensordiag import ContributionMethod, DetectionIndex, cli, ebf
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
 # Contribution spans carry the variant as a suffix, e.g. ".rbc-t2".
@@ -110,3 +110,22 @@ def test_expected_spans_fire_on_a_tiny_run(workload, tiny_workspace, monkeypatch
         argv = ["monitor", str(model), str(data / "validation_1.csv")]
     assert cli.main(["--config", str(config), *argv]) == 0
     assert not set(spans) - fired, f"never reached: {sorted(set(spans) - fired)}"
+
+
+def test_monitor_steps_once_per_line(tiny_workspace, monkeypatch, capsys):
+    # The benchmark pins ebf.ebf_step.calls == rows - d on monitor_replay;
+    # with the detection gate off every emitted line is one step.
+    root, config, data, model = tiny_workspace
+    calls = []
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return ebf.ebf_step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ebf_step", counting_step)
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "monitor", str(model), str(data / "validation_1.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not cli.load_config(str(config))["monitor"]["gate_on_detection"]
+    assert len(lines) == TINY_CONFIG["simulate"]["m_validation"] - TINY_CONFIG["lag_depth"]
+    assert len(calls) == len(lines)

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensordiag import FaultSpec, inject_fault, read_raw_csv, write_raw_csv
+from sensordiag import EbfParams, FaultSpec, inject_fault, load_model, read_raw_csv, write_raw_csv
 from sensordiag.cli import main
+from conftest import oracle_monitor_ndjson
 
 BASE_CONFIG = {
     "lag_depth": 2,
@@ -306,3 +307,77 @@ class TestMonitor:
             ["--config", workspace["config"], "monitor", str(workspace["model"]), str(bad)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("spe_limit", float("nan")), ("n", "8")], ids=["nan_spe_limit", "string_n"]
+    )
+    def test_tampered_model_exit_2(self, tmp_path, workspace, capsys, key, value):
+        payload = json.loads(workspace["model"].read_text())
+        payload[key] = value
+        model = tmp_path / "tampered.json"
+        model.write_text(json.dumps(payload))
+        code = main(
+            ["--config", workspace["config"], "monitor", str(model), str(workspace["validation"][0])]
+        )
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_full_variance_model_round_trips(self, tmp_path, workspace, capsys):
+        # variance_fraction 1.0 keeps every component, so fit writes
+        # spe_limit 0.0; monitor must load that model.
+        monitor = {"method": "cp", "index": "t2", "gate_on_detection": False}
+        config = write_config(tmp_path, {"variance_fraction": 1.0, "monitor": monitor})
+        model = tmp_path / "model.json"
+        fit = ["--config", config, "fit", str(workspace["train"]), "--model-out", str(model)]
+        assert main(fit) == 0
+        assert json.loads(model.read_text())["spe_limit"] == 0.0
+        csv = workspace["validation"][0]
+        capsys.readouterr()
+        assert main(["--config", config, "monitor", str(model), str(csv)]) == 0
+        out = capsys.readouterr().out
+        assert out == oracle_monitor_ndjson(load_model(model), csv, monitor, EbfParams())
+
+
+@pytest.fixture(scope="module")
+def faulty_csv(workspace):
+    """A validation run with a step fault on sensor 0 large enough to be declared."""
+    data = read_raw_csv(workspace["validation"][0])
+    amplitude = 25.0 * data.samples[:, 0].std(ddof=1)
+    path = workspace["root"] / "faulty.csv"
+    write_raw_csv(inject_fault(data, FaultSpec(sensor=0, amplitude=amplitude, onset_k=100)), path)
+    return path
+
+
+class TestMonitorOracle:
+    """``monitor`` stdout is byte-identical to one ``json.dumps`` per sample."""
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+    @pytest.mark.parametrize("index", ["spe", "t2"])
+    @pytest.mark.parametrize("method", ["cp", "rbc"])
+    @pytest.mark.parametrize("gate", [False, True], ids=["ungated", "gated"])
+    def test_stdout_matches_per_line_dumps(
+        self, tmp_path, workspace, faulty_csv, capsys, gate, method, index, fault
+    ):
+        monitor = {"method": method, "index": index, "gate_on_detection": gate}
+        config = write_config(tmp_path, {"monitor": monitor})
+        csv = faulty_csv if fault else workspace["validation"][0]
+        capsys.readouterr()
+        assert main(["--config", config, "monitor", str(workspace["model"]), str(csv)]) == 0
+        out = capsys.readouterr().out
+        model = load_model(workspace["model"])
+        assert out == oracle_monitor_ndjson(model, csv, monitor, EbfParams())
+        if fault:
+            assert '"ebf_declared": 0,' in out
+
+    def test_negative_zero_band_edge(self, tmp_path, workspace, faulty_csv, capsys):
+        # With lower_sat -0.0 an evidence sum of exactly +0.0 sits on the
+        # bound; the stream must print what np.clip keeps.
+        ebf = {"lower_sat": -0.0}
+        config = write_config(tmp_path, {"ebf": ebf})
+        capsys.readouterr()
+        assert main(["--config", config, "monitor", str(workspace["model"]), str(faulty_csv)]) == 0
+        out = capsys.readouterr().out
+        monitor = {"method": "rbc", "index": "t2", "gate_on_detection": False}
+        params = EbfParams(lower_sat=-0.0)
+        assert out == oracle_monitor_ndjson(load_model(workspace["model"]), faulty_csv, monitor, params)
+        assert "-0.0" in out

@@ -20,7 +20,8 @@ from sensordiag.errors import (
     LagTooLarge,
     ZeroVarianceColumn,
 )
-from conftest import make_raw
+from sensordiag.dataset import _CSV_CHUNK_ROWS
+from conftest import make_raw, oracle_read_raw_csv, oracle_write_raw_csv
 
 
 def raw_from(*rows, names=None):
@@ -173,6 +174,25 @@ class TestValidation:
             LagSpec(-1)
 
 
+# Each malformed body and the message after "<path>" that it must raise.
+MALFORMED = {
+    "a,b\n1.0\n2.0,3.0\n": ":2: expected 2 cells, got 1",  # ragged row
+    "a,b\n1.0,x\n2.0,3.0\n": ":2: unparseable cell",
+    "a,b\n1.0,nan\n2.0,3.0\n": ":2: non-finite value",
+    "a,a\n1.0,2.0\n3.0,4.0\n": ": duplicate sensor names in header",
+    "a,b\n1.0,2.0\n": ": need at least 2 data rows, got 1",
+    "": ": file is empty",
+}
+
+
+def read_or_error(reader, path):
+    """The dataset ``reader`` returns, or the message of its ``CsvParseError``."""
+    try:
+        return reader(path)
+    except CsvParseError as exc:
+        return str(exc)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         raw = make_raw(n=3, m=25, seed=5)
@@ -182,19 +202,88 @@ class TestCsv:
         np.testing.assert_array_equal(back.samples, raw.samples)
         assert back.sensor_names == raw.sensor_names
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "a,b\n1.0\n2.0,3.0\n",  # ragged row
-            "a,b\n1.0,x\n2.0,3.0\n",  # unparseable cell
-            "a,b\n1.0,nan\n2.0,3.0\n",  # non-finite cell
-            "a,a\n1.0,2.0\n3.0,4.0\n",  # duplicate header
-            "a,b\n1.0,2.0\n",  # single data row
-            "",  # empty file
-        ],
-    )
+    @pytest.mark.parametrize("body", list(MALFORMED))
     def test_malformed_inputs(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text(body, encoding="utf-8")
-        with pytest.raises(CsvParseError):
+        with pytest.raises(CsvParseError) as exc:
             read_raw_csv(path)
+        assert str(exc.value) == f"{path}{MALFORMED[body]}"
+
+    def test_writer_bytes_match_per_cell_repr(self, tmp_path):
+        values = [-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, -1.5e-300, 123456789.0]
+        raw = RawDataset(np.array([values, values[::-1]]), [f"s{i}" for i in range(7)])
+        write_raw_csv(raw, tmp_path / "new.csv")
+        oracle_write_raw_csv(raw, tmp_path / "old.csv")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert b"-0.0,5e-324,1e-05,1e+16,0.30000000000000004," in written
+        back = read_raw_csv(tmp_path / "new.csv").samples
+        assert back.tobytes() == raw.samples.tobytes()
+
+    @pytest.mark.parametrize("bad_line", [_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 2, 2 * _CSV_CHUNK_ROWS + 5])
+    def test_error_line_after_a_chunk_boundary(self, tmp_path, bad_line):
+        lines = ["a,b"] + ["1.0,2.0"] * (2 * _CSV_CHUNK_ROWS + 10)
+        lines[bad_line - 1] = "1.0,inf"
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError) as exc:
+            read_raw_csv(path)
+        assert str(exc.value) == f"{path}:{bad_line}: non-finite value"
+
+    def test_rows_span_several_chunks(self, tmp_path):
+        raw = make_raw(n=2, m=2 * _CSV_CHUNK_ROWS + 3, seed=6)
+        path = tmp_path / "long.csv"
+        write_raw_csv(raw, path)
+        assert read_raw_csv(path).samples.tobytes() == raw.samples.tobytes()
+
+
+# Cells the strict reader must treat exactly as float() does.
+ODD_CELLS = ["1_0", " 2.5 ", '"3.25"', "x", "nan", "1e400", "-Infinity", "", "1__0", "-0", "\uff11"]
+
+
+@st.composite
+def csv_bodies(draw):
+    """A header and body rows mixing float reprs, odd cells, ragged and blank rows."""
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f" {v!r}\t"),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f'"{v!r}"'),
+        st.sampled_from(ODD_CELLS),
+    )
+    good = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr), min_size=n, max_size=n
+    )
+    row = st.one_of(
+        good,
+        good,
+        st.lists(cell, min_size=n, max_size=n),
+        st.lists(cell, min_size=0, max_size=n + 2),  # ragged or blank
+    )
+    rows = draw(st.lists(row, min_size=0, max_size=12))
+    return [f"c{i}" for i in range(n)], rows
+
+
+class TestCsvReaderOracle:
+    @given(
+        case=csv_bodies(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        pad=st.sampled_from([0, _CSV_CHUNK_ROWS - 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_row_by_row_reader(self, tmp_path_factory, case, newline, pad):
+        names, rows = case
+        # ``pad`` good rows first put the drawn rows across the first chunk boundary.
+        lines = [",".join(names)] + [",".join(["1.5"] * len(names))] * pad
+        lines += [",".join(row) for row in rows]
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        got = read_or_error(read_raw_csv, path)
+        want = read_or_error(oracle_read_raw_csv, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.sensor_names == want.sensor_names

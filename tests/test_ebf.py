@@ -16,6 +16,7 @@ from sensordiag import (
     filter_stream,
 )
 from sensordiag.errors import IndexOutOfRange
+from conftest import oracle_ebf_decide, oracle_ebf_step
 
 
 def exact_recurrence(winners, n, params=None):
@@ -286,3 +287,51 @@ class TestBatchedFilterOracle:
                 declared = ebf_decide(state, params)
                 expected.append(NO_DECLARATION if declared is None else declared)
             np.testing.assert_array_equal(decided, np.array(expected, dtype=int))
+
+
+@st.composite
+def step_cases(draw):
+    """Valid params, an evidence vector inside their band, and a winner."""
+    params = draw(ebf_params())
+    n = draw(st.integers(1, 9))
+    level = st.one_of(
+        st.floats(min_value=params.lower_sat, max_value=params.upper_sat),
+        st.sampled_from(
+            [params.lower_sat, params.upper_sat, 0.0, -params.penalty, -params.reward]
+        ).filter(lambda v: params.lower_sat <= v <= params.upper_sat),
+    )
+    s = np.array(draw(st.lists(level, min_size=n, max_size=n)), dtype=float)
+    return params, EbfState(s=s, k=draw(st.integers(0, 100))), draw(st.integers(0, n - 1))
+
+
+class TestStepOracle:
+    @given(case=step_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_step_and_decide_match_full_gain_clip(self, case):
+        params, state, winner = case
+        got, want = ebf_step(state, winner, params), oracle_ebf_step(state, winner, params)
+        assert got.s.tobytes() == want.s.tobytes()  # signed zeros included
+        assert got.k == want.k
+        assert ebf_decide(got, params) == oracle_ebf_decide(want, params)
+        assert ebf_decide(state, params) == oracle_ebf_decide(state, params)
+
+    @pytest.mark.parametrize("lower, upper", [(-0.0, 1.0), (-1.0, -0.0), (0.0, 1.0)])
+    def test_sum_on_a_zero_bound_keeps_its_sign(self, lower, upper):
+        # s + g is exactly +0.0 on both sensors; np.clip keeps it even where
+        # the bound is -0.0, and the step must too.
+        params = EbfParams(
+            reward=0.25,
+            penalty=-0.25,
+            decision_threshold=0.5 if upper > 0 else -0.5,
+            upper_sat=upper,
+            lower_sat=lower,
+        )
+        state = EbfState(s=np.array([0.25, -0.25]))
+        got = ebf_step(state, 1, params)
+        assert got.s.tobytes() == oracle_ebf_step(state, 1, params).s.tobytes()
+        assert not np.signbit(got.s).any()
+
+    def test_state_is_not_modified(self):
+        state = EbfState(s=np.array([0.1, 0.2]))
+        ebf_step(state, 0, EbfParams())
+        assert state.s.tolist() == [0.1, 0.2]

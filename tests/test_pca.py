@@ -221,9 +221,67 @@ class TestPersistence:
         with pytest.raises(CorruptModelFile):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", "2"),
+            ("n", 2.0),
+            ("d", 0.5),
+            ("d", False),
+            ("l", True),
+            ("l", None),
+            ("spe_limit", float("nan")),
+            ("spe_limit", float("inf")),
+            ("spe_limit", -0.5),
+            ("t2_limit", -1.0),
+            ("t2_limit", "1.0"),
+            ("t2_limit", True),
+            pytest.param("t2_limit", 10**400, id="t2_limit-int_too_large_for_float"),
+        ],
+    )
+    def test_ill_typed_count_or_bad_limit_rejected(self, ref2, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        save_model(ref2, path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptModelFile, match=f"{key} must be"):
+            load_model(path)
+
+    def test_integer_limit_accepted(self, ref2, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(ref2, path)
+        payload = json.loads(path.read_text())
+        payload["spe_limit"] = 3
+        path.write_text(json.dumps(payload))
+        assert load_model(path).spe_limit == 3.0
+
+    def test_full_variance_fit_round_trips(self, tmp_path):
+        # Keeping every component leaves no residual space, so SPE and its
+        # limit are exactly 0.0; the saved model must still load.
+        model = make_model(n=4, m=300, seed=3, d=2, variance_fraction=1.0)
+        assert model.spe_limit == 0.0
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.spe_limit == 0.0
+        assert back.t2_limit == model.t2_limit
+        assert model_digest(back) == model_digest(model)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("not json at all")
+        with pytest.raises(CorruptModelFile):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"n": ' + b"1" * 5000 + b"}", b'{"n": "\xff"}'],
+        ids=["int_over_digit_limit", "bad_utf8"],
+    )
+    def test_unreadable_json_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_bytes(text)
         with pytest.raises(CorruptModelFile):
             load_model(path)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LagSpec, apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
-from .detection import spe, t2
+from .detection import _row_blocks, spe, t2
 from .ebf import EbfParams, EbfState, ebf_decide, ebf_step
 from .errors import (
     ConfigError,
@@ -305,28 +305,34 @@ def cmd_monitor(args, cfg: dict) -> int:
     if data.sensor_names != model.sensor_names:
         raise DimensionMismatch("CSV sensor names do not match the model")
     scaled = apply_scaler(data, model.base_scaler)
-    embedded = embed_lags(scaled, LagSpec(model.d))
     tag = IsolationMethod(
         ContributionMethod(cfg["monitor"]["method"]),
         DetectionIndex(cfg["monitor"]["index"]),
     )
     gate = cfg["monitor"]["gate_on_detection"]
     params = _ebf_params(cfg)
-    z = embedded.samples
-    spe_vals = spe(model, z)
-    t2_vals = t2(model, z)
-    spe_exceeds = (spe_vals > model.spe_limit).tolist()
-    t2_exceeds = (t2_vals > model.t2_limit).tolist()
-    winners = contribution_matrix(model, z, tag).argmax(axis=1).tolist()
-    spe_list = spe_vals.tolist()
-    t2_list = t2_vals.tolist()
+    d = model.d
+    spe_list, t2_list, spe_exceeds, t2_exceeds, winners = [], [], [], [], []
+    # Embed and score one row block at a time, so memory is bounded by the
+    # block; embedded row e reads scaled rows e .. e + d.
+    for blk in _row_blocks(max(scaled.m - d, 0)):
+        window = replace(scaled, samples=scaled.samples[blk.start : blk.stop + d])
+        z = embed_lags(window, LagSpec(d)).samples
+        spe_vals = spe(model, z)
+        t2_vals = t2(model, z)
+        spe_exceeds += (spe_vals > model.spe_limit).tolist()
+        t2_exceeds += (t2_vals > model.t2_limit).tolist()
+        winners += contribution_matrix(model, z, tag).argmax(axis=1).tolist()
+        spe_list += spe_vals.tolist()
+        t2_list += t2_vals.tolist()
+        del z  # free this block before the next one is embedded
     state = EbfState.fresh(model.n)
     out = sys.stdout
     for e, winner in enumerate(winners):
         if not gate or spe_exceeds[e] or t2_exceeds[e]:
             state = ebf_step(state, winner, params)
         record = {
-            "k": e + model.d,
+            "k": e + d,
             "spe": spe_list[e],
             "t2": t2_list[e],
             "spe_exceeds": spe_exceeds[e],

@@ -22,6 +22,12 @@ if TYPE_CHECKING:
 
 __all__ = ["IndexSample", "spe", "t2", "fit_threshold", "index_sample"]
 
+# Longest row block one scoring call sends through a gemm. Longer inputs are
+# scored block by block, so temporaries stay bounded by the block, not by the
+# series length. Inputs up to this size (5000-row validation runs among them)
+# stay one product, so their scores match an unblocked product at any shape.
+_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class IndexSample:
@@ -44,15 +50,36 @@ def _rows(model: "PcaModel", x: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _row_blocks(m: int) -> list[slice]:
+    """``ceil(m / _BLOCK_ROWS)`` near-equal slices covering ``range(m)``.
+
+    At most ``_BLOCK_ROWS`` rows is one block, so a short input keeps a
+    single gemm; a longer one splits into blocks of at least
+    ``_BLOCK_ROWS // 2`` rows each.
+    """
+    k = max(1, -(-m // _BLOCK_ROWS))
+    return [slice(i * m // k, (i + 1) * m // k) for i in range(k)]
+
+
+def _squared_norms(rows: np.ndarray, loadings: np.ndarray, scale=None) -> np.ndarray:
+    """Squared norm of each row of ``rows @ loadings / scale``, block by block."""
+    out = np.empty(rows.shape[0])
+    for blk in _row_blocks(rows.shape[0]):
+        scores = rows[blk] @ loadings
+        if scale is not None:
+            scores /= scale
+        out[blk] = np.einsum("ij,ij->i", scores, scores)
+        del scores  # free this block before the next gemm allocates its own
+    return out
+
+
 def spe(model: "PcaModel", x: np.ndarray):
     """Squared prediction error: squared norm of the residual projection.
 
     Accepts a single vector (returns a float) or a matrix of row vectors
     (returns one value per row).
     """
-    rows = _rows(model, x)
-    scores = rows @ model.p_tilde
-    values = np.einsum("ij,ij->i", scores, scores)
+    values = _squared_norms(_rows(model, x), model.p_tilde)
     return float(values[0]) if np.ndim(x) == 1 else values
 
 
@@ -63,8 +90,7 @@ def t2(model: "PcaModel", x: np.ndarray):
         raise SingularLambda(
             "a retained eigenvalue is numerically zero; T2 is undefined"
         )
-    scores = rows @ model.p_hat / np.sqrt(model.lambda_hat)
-    values = np.einsum("ij,ij->i", scores, scores)
+    values = _squared_norms(rows, model.p_hat, np.sqrt(model.lambda_hat))
     return float(values[0]) if np.ndim(x) == 1 else values
 
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detection import _rows
+from .detection import _row_blocks, _rows
 from .errors import DegenerateDirection, DimensionMismatch, IndexOutOfRange
 
 if TYPE_CHECKING:
@@ -160,13 +160,19 @@ def contribution_matrix(
     """
     rows = _rows(model, x)
     ku, dens = _attribution(model, tag)
-    scores = (rows @ ku) ** 2
-    if tag.method is ContributionMethod.CP:
-        return scores
-    bad = np.flatnonzero(dens < _DEGENERATE_TOL)
-    if bad.size:
-        raise DegenerateDirection(int(bad[0]), str(tag))
-    return scores / dens
+    rbc = tag.method is ContributionMethod.RBC
+    if rbc:
+        bad = np.flatnonzero(dens < _DEGENERATE_TOL)
+        if bad.size:
+            raise DegenerateDirection(int(bad[0]), str(tag))
+    out = np.empty((rows.shape[0], model.n))
+    for blk in _row_blocks(rows.shape[0]):
+        scores = out[blk]
+        np.matmul(rows[blk], ku, out=scores)
+        scores **= 2
+        if rbc:
+            scores /= dens
+    return out
 
 
 def contributions(

@@ -50,6 +50,10 @@ MODEL_SCHEMA_VERSION = 1
 # a repeated block that the principal/residual split must not cut through.
 _TIE_RTOL = 1e-9
 
+# Largest entry of ``|QᵀQ - I|`` for ``Q = [P̂ P̃]`` that a loaded model may
+# show; ``eigh`` loadings sit near 1e-15, a tampered or truncated file far off.
+_ORTHONORMAL_TOL = 1e-8
+
 
 @dataclass(eq=False)
 class PcaModel:
@@ -359,20 +363,32 @@ def load_model(path: str | Path) -> PcaModel:
     for key in ("n", "d", "l"):
         if type(raw[key]) is not int:  # "8", 8.5 and true are not counts
             raise CorruptModelFile(f"{path}: {key} must be a JSON integer, got {raw[key]!r}")
-    for key in ("spe_limit", "t2_limit"):
-        # 0.0 is a valid limit: a fit that keeps every component has SPE == 0.
-        limit = raw[key]
+    n, d, l = raw["n"], raw["d"], raw["l"]
+    n_e = n * (d + 1)
+    if n < 1 or d < 0 or not 0 <= l <= n_e:
+        raise CorruptModelFile(f"{path}: counts out of range: n={n}, d={d}, l={l}")
+    # 0.0 is a valid limit: a fit that keeps every component has SPE == 0.
+    for key, valid, wanted in (
+        ("spe_limit", lambda v: v >= 0, "a finite non-negative number"),
+        ("t2_limit", lambda v: v >= 0, "a finite non-negative number"),
+        ("alpha", lambda v: 0 < v < 1, "a number in (0, 1)"),
+        ("variance_fraction", lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    ):
+        value = raw[key]
         try:
-            valid = type(limit) in (int, float) and math.isfinite(limit) and limit >= 0
+            ok = type(value) in (int, float) and math.isfinite(value) and valid(value)
         except OverflowError:  # an integer too large for a float
-            valid = False
-        if not valid:
-            raise CorruptModelFile(
-                f"{path}: {key} must be a finite non-negative number, got {limit!r}"
-            )
+            ok = False
+        if not ok:
+            raise CorruptModelFile(f"{path}: {key} must be {wanted}, got {value!r}")
+    names = raw["sensor_names"]
+    if (
+        type(names) is not list
+        or not all(type(name) is str for name in names)
+        or len(set(names)) != len(names)
+    ):
+        raise CorruptModelFile(f"{path}: sensor_names must be a list of unique strings")
     try:
-        n, d, l = raw["n"], raw["d"], raw["l"]
-        n_e = n * (d + 1)
         scaler = ScalerParams(
             mean=np.asarray(raw["scaler"]["mean"], dtype=float),
             std=np.asarray(raw["scaler"]["std"], dtype=float),
@@ -388,7 +404,7 @@ def load_model(path: str | Path) -> PcaModel:
             n=n,
             d=d,
             scaler=scaler,
-            sensor_names=tuple(raw["sensor_names"]),
+            sensor_names=tuple(names),
             variance_fraction=float(raw["variance_fraction"]),
             alpha=float(raw["alpha"]),
             spe_limit=float(raw["spe_limit"]),
@@ -401,6 +417,23 @@ def load_model(path: str | Path) -> PcaModel:
     for arr in (model.p_hat, model.p_tilde, model.lambda_hat, model.lambda_tilde):
         if not np.isfinite(arr).all():
             raise CorruptModelFile(f"{path}: non-finite model values")
+    loadings = np.hstack([model.p_hat, model.p_tilde])
+    # einsum, not a BLAS product: a fresh process's first multi-threaded gemm
+    # can wait milliseconds for its worker threads, longer than this check.
+    gram = np.einsum("ij,ik->jk", loadings, loadings)
+    if np.abs(gram - np.eye(n_e)).max() > _ORTHONORMAL_TOL:
+        raise CorruptModelFile(f"{path}: loadings [p_hat p_tilde] are not orthonormal")
+    spectrum = np.concatenate([model.lambda_hat, model.lambda_tilde])
+    if (spectrum < 0).any() or (np.diff(spectrum) > 0).any():
+        raise CorruptModelFile(
+            f"{path}: eigenvalues must be non-negative and descending "
+            "(lambda_hat, then lambda_tilde)"
+        )
+    for part in (scaler.mean, scaler.std):
+        if not np.array_equal(part, np.tile(part[:n], d + 1)):
+            raise CorruptModelFile(
+                f"{path}: scaler is not its first {n} entries tiled {d + 1} times"
+            )
     return model
 
 

@@ -10,6 +10,7 @@ from sensordiag import (
     ContributionMethod,
     DetectionIndex,
     EbfState,
+    FaultSpec,
     IsolationMethod,
     LagSpec,
     PcaModel,
@@ -17,17 +18,19 @@ from sensordiag import (
     ScaledDataset,
     ScalerParams,
     apply_scaler,
-    contribution_matrix,
     direction,
     direction_matrix,
     embed_lags,
     fit_pca,
     fit_scaler,
-    spe,
-    t2,
+    inject_fault,
+    save_model,
+    write_raw_csv,
 )
+from sensordiag.detection import _BLOCK_ROWS, _row_blocks
 from sensordiag.ebf import _DECISION_TOL
 from sensordiag.errors import CsvParseError, IndexOutOfRange
+from sensordiag.isolation import _attribution
 
 REF2_EIGVALS = np.array([1.8, 0.2])
 REF2_V = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -85,6 +88,91 @@ def make_model(
     return fit_pca(make_scaled(n=n, m=m, seed=seed, d=d), variance_fraction, alpha)
 
 
+def write_long_series(root: Path, d: int) -> dict:
+    """Save an n=8 model of lag depth ``d`` and a monitor series two row
+    blocks plus one row long, with a step fault on sensor 0 whose onset is the
+    last sample of the first block, so the sensor's lag window straddles the
+    block edge."""
+    m_train = 3000
+    rows = 2 * _BLOCK_ROWS + d + 1
+    raw = make_raw(n=8, m=m_train + rows, seed=31)
+    train = RawDataset(raw.samples[:m_train], raw.sensor_names)
+    model = fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(d)))
+    save_model(model, root / "model.json")
+    onset = _row_blocks(rows - d)[1].start + d - 1
+    amplitude = 25.0 * train.samples[:, 0].std(ddof=1)
+    series = RawDataset(raw.samples[m_train:], raw.sensor_names)
+    write_raw_csv(inject_fault(series, FaultSpec(0, amplitude, onset)), root / "series.csv")
+    return {"model": root / "model.json", "csv": root / "series.csv", "rows": rows, "d": d}
+
+
+@pytest.fixture(scope="session")
+def long_series(tmp_path_factory):
+    """A multi-block monitor case at the default shape, n=8 and d=10."""
+    return write_long_series(tmp_path_factory.mktemp("long_series"), d=10)
+
+
+def _scale_p_hat(p):
+    p["p_hat"] = (2.0 * np.array(p["p_hat"])).tolist()
+
+
+def _nudge_p_tilde(p):
+    p["p_tilde"][0][0] += 1e-6
+
+
+def _swap_lambda_hat(p):
+    p["lambda_hat"][0], p["lambda_hat"][1] = p["lambda_hat"][1], p["lambda_hat"][0]
+
+
+def _set(key, value, index=None):
+    def tamper(p):
+        if index is None:
+            p[key] = value
+        else:
+            p[key][index] = value
+
+    return tamper
+
+
+def _shift_scaler(part, delta):
+    def tamper(p):
+        p["scaler"][part][-1] += delta
+
+    return tamper
+
+
+def _lift_lambda_tilde(p):
+    # Each block stays descending, but the residual space now outranks the
+    # smallest retained eigenvalue.
+    p["lambda_tilde"][0] = 2.0 * p["lambda_hat"][-1]
+
+
+# Edits of a saved n=4, d=2 model, each with the error it must raise.
+MODEL_DEFECTS = {
+    "p_hat_doubled": (_scale_p_hat, "not orthonormal"),
+    "p_tilde_nudged": (_nudge_p_tilde, "not orthonormal"),
+    "lambda_tilde_negative": (_set("lambda_tilde", -1.0, 0), "non-negative and descending"),
+    "lambda_hat_swapped": (_swap_lambda_hat, "non-negative and descending"),
+    "lambda_tilde_above_lambda_hat": (_lift_lambda_tilde, "non-negative and descending"),
+    "scaler_mean_untiled": (_shift_scaler("mean", 5.0), "tiled"),
+    "scaler_std_untiled": (_shift_scaler("std", 1.0), "tiled"),
+    "variance_fraction_7": (_set("variance_fraction", 7.0), "variance_fraction must be"),
+    "variance_fraction_0": (_set("variance_fraction", 0.0), "variance_fraction must be"),
+    "variance_fraction_string": (_set("variance_fraction", "0.9"), "variance_fraction must be"),
+    "alpha_1": (_set("alpha", 1.0), "alpha must be"),
+    "alpha_negative": (_set("alpha", -0.01), "alpha must be"),
+    "alpha_bool": (_set("alpha", True), "alpha must be"),
+    "alpha_nan": (_set("alpha", float("nan")), "alpha must be"),
+    "sensor_name_number": (_set("sensor_names", 5, 0), "sensor_names must be"),
+    "sensor_name_duplicate": (_set("sensor_names", "s1", 1), "sensor_names must be"),
+    "sensor_names_string": (_set("sensor_names", "s1s2s3s4"), "sensor_names must be"),
+    "l_above_n_e": (_set("l", 13), "out of range"),
+    "l_negative": (_set("l", -1), "out of range"),
+    "n_zero": (_set("n", 0), "out of range"),
+    "d_negative": (_set("d", -1), "out of range"),
+}
+
+
 def oracle_kernel(model: PcaModel, method, index) -> np.ndarray:
     """The variant's kernel K, read straight from the model's projectors."""
     if index is DetectionIndex.SPE:
@@ -118,6 +206,36 @@ def oracle_estimate_matrix(
     u = direction(model, sensor)
     ku = oracle_kernel(model, ContributionMethod.RBC, index) @ u
     return rows @ ku / float(u @ ku)
+
+
+def whole_array_spe(model: PcaModel, rows: np.ndarray) -> np.ndarray:
+    """SPE of every row from one ``rows @ P̃`` product, no row blocks."""
+    scores = rows @ model.p_tilde
+    return np.einsum("ij,ij->i", scores, scores)
+
+
+def whole_array_t2(model: PcaModel, rows: np.ndarray) -> np.ndarray:
+    """T2 of every row from one ``rows @ P̂ / sqrt(λ̂)`` expression, no row blocks."""
+    scores = rows @ model.p_hat / np.sqrt(model.lambda_hat)
+    return np.einsum("ij,ij->i", scores, scores)
+
+
+def whole_array_contributions(model: PcaModel, rows: np.ndarray, tag) -> np.ndarray:
+    """``(rows @ K·U)**2`` (over ``diag(UᵀKU)`` for RBC) in one product."""
+    ku, dens = _attribution(model, tag)
+    scores = (rows @ ku) ** 2
+    return scores if tag.method is ContributionMethod.CP else scores / dens
+
+
+def assert_same_winners(scores: np.ndarray, reference: np.ndarray) -> None:
+    """Argmax per row must match the reference; a row may differ only where
+    the reference itself ties its top score within ``rtol=1e-9`` (rank-one
+    kernels give every sensor the same RBC score)."""
+    win = np.argmax(scores, axis=1)
+    ref = np.argmax(reference, axis=1)
+    differs = win != ref
+    top = reference[differs, ref[differs]]
+    np.testing.assert_allclose(reference[differs, win[differs]], top, rtol=1e-9)
 
 
 def oracle_read_raw_csv(path, sample_period_s: float = 0.1) -> RawDataset:
@@ -191,9 +309,9 @@ def oracle_monitor_ndjson(model: PcaModel, csv_path, monitor: dict, params) -> s
     tag = IsolationMethod(
         ContributionMethod(monitor["method"]), DetectionIndex(monitor["index"])
     )
-    spe_vals = spe(model, z)
-    t2_vals = t2(model, z)
-    winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
+    spe_vals = whole_array_spe(model, z)
+    t2_vals = whole_array_t2(model, z)
+    winners = np.argmax(whole_array_contributions(model, z, tag), axis=1)
     state = EbfState.fresh(model.n)
     lines = []
     for e in range(z.shape[0]):

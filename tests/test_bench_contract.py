@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sensordiag import ContributionMethod, DetectionIndex, cli, ebf
+from sensordiag import ContributionMethod, DetectionIndex, cli, dataset, ebf
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
 # Contribution spans carry the variant as a suffix, e.g. ".rbc-t2".
@@ -129,3 +129,32 @@ def test_monitor_steps_once_per_line(tiny_workspace, monkeypatch, capsys):
     assert not cli.load_config(str(config))["monitor"]["gate_on_detection"]
     assert len(lines) == TINY_CONFIG["simulate"]["m_validation"] - TINY_CONFIG["lag_depth"]
     assert len(calls) == len(lines)
+
+
+def test_monitor_embeds_block_by_block(long_series, monkeypatch, capsys, tmp_path):
+    # monitor must embed and score the series one row block at a time; the
+    # benchmark's peak_rss_mb on monitor_replay depends on it.
+    d = long_series["d"]
+    embedded, steps = [], []
+
+    def recording_embed(data, lags):
+        out = dataset.embed_lags(data, lags)
+        embedded.append((data.m, out.m))
+        return out
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return ebf.ebf_step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "embed_lags", recording_embed)
+    monkeypatch.setattr(cli, "ebf_step", counting_step)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({}))
+    capsys.readouterr()
+    argv = ["--config", str(config), "monitor", str(long_series["model"]), str(long_series["csv"])]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(embedded) > 1
+    assert all(rows_in <= 8192 + d for rows_in, _ in embedded)  # one block plus its lag history
+    assert sum(rows_out for _, rows_out in embedded) == long_series["rows"] - d
+    assert len(steps) == len(lines) == long_series["rows"] - d

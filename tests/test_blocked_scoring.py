@@ -1,0 +1,161 @@
+"""Row-blocked scoring against whole-array scoring, and its memory bound.
+
+``spe``, ``t2`` and ``contribution_matrix`` score at most ``_BLOCK_ROWS`` rows
+per gemm. Up to that many rows they make today's single call, so they must
+equal the whole-array expressions bit for bit. Longer inputs are split into
+blocks; a blocked gemm may round the last bits differently for some shapes,
+so there only the default n=8, d=10 shape is held to bit identity and the
+others to 1e-9 relative.
+"""
+
+import json
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli
+from sensordiag import contribution_matrix, spe, t2
+from sensordiag.detection import _BLOCK_ROWS, _row_blocks
+from sensordiag.errors import DegenerateDirection
+from conftest import (
+    assert_same_winners,
+    make_model,
+    whole_array_contributions,
+    whole_array_spe,
+    whole_array_t2,
+    write_long_series,
+)
+
+ALL_METHODS = [IsolationMethod(m, i) for m in ContributionMethod for i in DetectionIndex]
+
+
+def scored(model, rows):
+    """``(name, blocked, whole-array)`` for both indices and every variant
+    whose denominators are usable."""
+    out = [
+        ("spe", spe(model, rows), whole_array_spe(model, rows)),
+        ("t2", t2(model, rows), whole_array_t2(model, rows)),
+    ]
+    for tag in ALL_METHODS:
+        try:
+            blocked = contribution_matrix(model, rows, tag)
+        except DegenerateDirection:
+            continue
+        out.append((str(tag), blocked, whole_array_contributions(model, rows, tag)))
+    return out
+
+
+def random_rows(model, count, seed, scale=1.0):
+    return scale * np.random.default_rng(seed).standard_normal((count, model.n_e))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "m", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1, 49990]
+    )
+    def test_near_equal_cover(self, m):
+        blocks = _row_blocks(m)
+        assert len(blocks) == max(1, -(-m // _BLOCK_ROWS))
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+        if len(blocks) > 1:
+            assert min(sizes) >= _BLOCK_ROWS // 2
+
+
+class TestBlockedKernelOracle:
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        d=st.integers(min_value=0, max_value=10),
+        count=st.one_of(
+            st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS]),
+            st.integers(min_value=0, max_value=_BLOCK_ROWS),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        vf=st.sampled_from([0.6, 0.9, 0.99]),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_single_block_is_bit_identical(self, n, d, count, seed, vf, scale):
+        model = make_model(n=n, m=4 * n * (d + 1) + 40, seed=seed % 1000, d=d, variance_fraction=vf)
+        rows = random_rows(model, count, seed, scale)
+        for name, blocked, whole in scored(model, rows):
+            assert blocked.shape == whole.shape, name
+            assert np.array_equal(blocked, whole), name
+
+    @pytest.mark.parametrize("count", [_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 30001])
+    def test_default_shape_is_bit_identical_across_blocks(self, count):
+        model = make_model(n=8, m=2000, seed=41, d=10)
+        rows = random_rows(model, count, count)
+        for name, blocked, whole in scored(model, rows):
+            assert np.array_equal(blocked, whole), name
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        d=st.integers(min_value=0, max_value=10),
+        count=st.one_of(
+            st.sampled_from([_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]),
+            st.integers(min_value=_BLOCK_ROWS + 1, max_value=3 * _BLOCK_ROWS),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        vf=st.sampled_from([0.6, 0.9, 0.99]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_multi_block_matches_within_rounding(self, n, d, count, seed, vf):
+        model = make_model(n=n, m=4 * n * (d + 1) + 40, seed=seed % 1000, d=d, variance_fraction=vf)
+        rows = random_rows(model, count, seed)
+        for name, blocked, whole in scored(model, rows):
+            # A contribution near zero is a cancelled sum, whose rounding is
+            # relative to its terms, not to it: floor it at the largest score.
+            floor = 1e-12 * np.abs(whole).max(initial=0.0)
+            np.testing.assert_allclose(blocked, whole, rtol=1e-9, atol=floor, err_msg=name)
+            if blocked.ndim == 2:
+                assert_same_winners(blocked, whole)
+
+
+def traced_peak(fn, *args) -> tuple:
+    """``fn(*args)`` and the peak bytes traced while it ran; numpy reports
+    its buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    @pytest.fixture(scope="class")
+    def model_and_rows(self):
+        model = make_model(n=8, m=2000, seed=43, d=10)
+        return model, random_rows(model, 40000, 44)
+
+    @pytest.mark.parametrize("score", ["spe", "t2", *map(str, ALL_METHODS)])
+    def test_peak_is_a_fraction_of_the_input(self, model_and_rows, score):
+        model, rows = model_and_rows
+        tags = {str(tag): tag for tag in ALL_METHODS}
+        if score in tags:
+            contribution_matrix(model, rows[:2], tags[score])  # build the cached kernel
+            _, peak = traced_peak(contribution_matrix, model, rows, tags[score])
+        else:
+            _, peak = traced_peak({"spe": spe, "t2": t2}[score], model, rows)
+        assert peak < rows.nbytes / 4
+
+    def test_monitor_never_holds_the_embedded_series(self, tmp_path, monkeypatch):
+        # A deep lag makes the embedded series far larger than the CSV reader's
+        # chunk, so the peak of the whole command shows whether it was built.
+        case = write_long_series(tmp_path, d=40)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({}))
+        argv = ["--config", str(config), "monitor", str(case["model"]), str(case["csv"])]
+        embedded_nbytes = (case["rows"] - case["d"]) * 8 * (case["d"] + 1) * 8
+        with open(tmp_path / "events.ndjson", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            code, peak = traced_peak(cli.main, argv)
+        assert code == 0
+        assert peak < embedded_nbytes

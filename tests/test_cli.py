@@ -6,7 +6,7 @@ import pytest
 
 from sensordiag import EbfParams, FaultSpec, inject_fault, load_model, read_raw_csv, write_raw_csv
 from sensordiag.cli import main
-from conftest import oracle_monitor_ndjson
+from conftest import MODEL_DEFECTS, oracle_monitor_ndjson
 
 BASE_CONFIG = {
     "lag_depth": 2,
@@ -322,6 +322,29 @@ class TestMonitor:
         assert code == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "p_hat_doubled",
+            "lambda_tilde_negative",
+            "lambda_hat_swapped",
+            "scaler_mean_untiled",
+            "variance_fraction_7",
+            "sensor_name_number",
+        ],
+    )
+    def test_model_invariant_violation_exit_2(self, tmp_path, workspace, capsys, defect):
+        tamper, message = MODEL_DEFECTS[defect]
+        payload = json.loads(workspace["model"].read_text())
+        tamper(payload)
+        model = tmp_path / "tampered.json"
+        model.write_text(json.dumps(payload))
+        code = main(
+            ["--config", workspace["config"], "monitor", str(model), str(workspace["validation"][0])]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_full_variance_model_round_trips(self, tmp_path, workspace, capsys):
         # variance_fraction 1.0 keeps every component, so fit writes
         # spe_limit 0.0; monitor must load that model.
@@ -381,3 +404,23 @@ class TestMonitorOracle:
         params = EbfParams(lower_sat=-0.0)
         assert out == oracle_monitor_ndjson(load_model(workspace["model"]), faulty_csv, monitor, params)
         assert "-0.0" in out
+
+
+class TestMonitorBlocks:
+    """A series longer than one scoring block prints what whole-array scoring
+    of the full embedded series prints."""
+
+    @pytest.mark.parametrize("method, index", [("rbc", "t2"), ("cp", "spe")])
+    @pytest.mark.parametrize("gate", [False, True], ids=["ungated", "gated"])
+    def test_stdout_matches_whole_array_oracle(self, tmp_path, long_series, capsys, gate, method, index):
+        monitor = {"method": method, "index": index, "gate_on_detection": gate}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"monitor": monitor}))
+        model, csv = long_series["model"], long_series["csv"]
+        capsys.readouterr()
+        assert main(["--config", str(config), "monitor", str(model), str(csv)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == long_series["rows"] - long_series["d"]
+        assert out == oracle_monitor_ndjson(load_model(model), csv, monitor, EbfParams())
+        if method == "rbc":  # plain contributions may smear onto another sensor
+            assert '"ebf_declared": 0,' in out

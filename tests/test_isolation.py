@@ -27,6 +27,7 @@ from sensordiag.errors import (
     IndexOutOfRange,
 )
 from conftest import (
+    assert_same_winners,
     make_model,
     make_scaled,
     oracle_contribution_matrix,
@@ -287,17 +288,6 @@ class TestReconstruct:
         grid = np.linspace(-10.0, 10.0, 2001)
         u = direction(model, 2)
         assert t2(model, z) <= min(t2(model, x - u * f) for f in grid) + 1e-9
-
-
-def assert_same_winners(scores: np.ndarray, reference: np.ndarray) -> None:
-    """Argmax per row must match the reference; a row may differ only where
-    the reference itself ties its top score within ``rtol=1e-9`` (rank-one
-    kernels give every sensor the same RBC score)."""
-    win = np.argmax(scores, axis=1)
-    ref = np.argmax(reference, axis=1)
-    differs = win != ref
-    top = reference[differs, ref[differs]]
-    np.testing.assert_allclose(reference[differs, win[differs]], top, rtol=1e-9)
 
 
 def axis_model() -> PcaModel:

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensordiag import (
     PcaModel,
@@ -23,7 +26,7 @@ from sensordiag.errors import (
     SchemaVersionMismatch,
     UndersampledFit,
 )
-from conftest import REF2_V, make_model, make_scaled, ref2_training_set
+from conftest import MODEL_DEFECTS, REF2_V, make_model, make_scaled, ref2_training_set
 
 
 def identity_scaled(x):
@@ -284,6 +287,55 @@ class TestPersistence:
         path.write_bytes(text)
         with pytest.raises(CorruptModelFile):
             load_model(path)
+
+
+class TestLoadInvariants:
+    """``load_model`` checks the fitted model's invariants, not only shapes."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("invariants") / "model.json"
+        model = make_model(n=4, m=400, seed=5, d=2)
+        assert model.l >= 2 and model.l < model.n_e
+        save_model(model, path)
+        return path.read_text()
+
+    @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+    def test_defect_rejected(self, payload, tmp_path, defect):
+        tamper, message = MODEL_DEFECTS[defect]
+        raw = json.loads(payload)
+        tamper(raw)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CorruptModelFile, match=message):
+            load_model(path)
+
+    def test_untampered_payload_loads(self, payload, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(payload)
+        back = load_model(path)
+        save_model(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == payload
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        d=st.integers(min_value=0, max_value=4),
+        m=st.integers(min_value=8, max_value=200),
+        seed=st.integers(min_value=0, max_value=1000),
+        vf=st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_fit_loads(self, tmp_path_factory, n, d, m, seed, vf):
+        # Undersampled and rank-deficient fits included: what fit_pca writes,
+        # load_model must accept byte for byte.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = make_model(n=n, m=m + d, seed=seed, d=d, variance_fraction=vf)
+        path = tmp_path_factory.mktemp("fit") / "model.json"
+        save_model(model, path)
+        again = path.with_name("again.json")
+        save_model(load_model(path), again)
+        assert again.read_text() == path.read_text()
 
 
 class TestResidualStd:

@@ -29,6 +29,7 @@ from .errors import (
     EmptySample,
     IndexOutOfRange,
     LagTooLarge,
+    NonFiniteResult,
     SchemaVersionMismatch,
     SensorDiagError,
     UnstableConfig,
@@ -89,6 +90,7 @@ _DATA_ERRORS = (
     SchemaVersionMismatch,
     EmptySample,
     ZeroAmplitude,
+    NonFiniteResult,
     FileNotFoundError,
 )
 
@@ -278,6 +280,11 @@ def cmd_eval(args, cfg: dict) -> int:
         if a_max is None:
             a_max = 6.0 * model.residual_std(target)
         grid = np.linspace(-a_max, a_max, sw["grid_points"]).tolist()
+    if not any(grid):
+        raise ConfigError(
+            "every sweep amplitude is zero, so no cell would be evaluated; "
+            "set sweep.max_amplitude or sweep.amplitudes"
+        )
     report = sweep(
         model,
         runs,

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CsvParseError, DimensionMismatch, LagTooLarge, ZeroVarianceColumn
+from .errors import (
+    CsvParseError,
+    DimensionMismatch,
+    LagTooLarge,
+    NonFiniteResult,
+    ZeroVarianceColumn,
+)
 
 __all__ = [
     "RawDataset",
@@ -172,14 +178,24 @@ def fit_scaler(data: RawDataset) -> ScalerParams:
 
     Raises
     ------
+    NonFiniteResult
+        If a column's mean or standard deviation overflows float64, as it
+        does once the column's spread nears 1e154.
     ZeroVarianceColumn
         If any column is constant relative to its own magnitude; a dead
         sensor invalidates a correlation-based model and must be handled
         upstream rather than epsilon-scaled away.
     """
     x = data.samples
-    mean = x.mean(axis=0)
-    std = x.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0, ddof=1)
+    overflow = np.nonzero(~(np.isfinite(mean) & np.isfinite(std)))[0]
+    if overflow.size:
+        raise NonFiniteResult(
+            f"sensor '{data.sensor_names[int(overflow[0])]}': mean or standard "
+            "deviation overflows float64"
+        )
     floor = 1e-12 * np.maximum(1.0, np.abs(mean))
     dead = np.nonzero(std < floor)[0]
     if dead.size:

@@ -71,6 +71,10 @@ class ZeroAmplitude(SensorDiagError):
     """Relative reconstruction error is undefined for a zero fault amplitude."""
 
 
+class NonFiniteResult(SensorDiagError):
+    """A fitted statistic or a sweep result overflowed float64."""
+
+
 class ConfigError(SensorDiagError):
     """Run configuration file contains unknown keys or invalid values."""
 

@@ -13,14 +13,22 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import LagSpec, RawDataset, apply_scaler, embed_lags
+from .dataset import LagSpec, RawDataset, ScalerParams, apply_scaler, embed_lags
 from .ebf import EbfParams, filter_stream
-from .errors import DimensionMismatch, EmptySample, IndexOutOfRange, UnstableConfig, ZeroAmplitude
+from .errors import (
+    DimensionMismatch,
+    EmptySample,
+    IndexOutOfRange,
+    NonFiniteResult,
+    UnstableConfig,
+    ZeroAmplitude,
+)
 from .isolation import (
     ContributionMethod,
     DetectionIndex,
@@ -306,7 +314,8 @@ class EvalReport:
                 for row in self.rows
             ],
         }
-        Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+        text = json.dumps(payload, indent=1, allow_nan=False)  # NaN and Infinity are not JSON
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 DEFAULT_VARIANTS: tuple[tuple[IsolationMethod, bool], ...] = (
@@ -318,14 +327,51 @@ DEFAULT_VARIANTS: tuple[tuple[IsolationMethod, bool], ...] = (
 )
 
 
-def _prepare_run(model: PcaModel, run: RawDataset, fault: FaultSpec) -> np.ndarray:
-    """Inject, standardize with the model scaler, lag-embed; return the
-    post-onset evaluation rows."""
-    faulty = inject_fault(run, fault)
-    scaled = apply_scaler(faulty, model.base_scaler)
-    embedded = embed_lags(scaled, LagSpec(model.d))
-    start = max(0, fault.onset_k - model.d)
-    return embedded.samples[start:]
+def _prepare_run(run: RawDataset, fault: FaultSpec, scaler: ScalerParams, d: int) -> np.ndarray:
+    """Inject, standardize, lag-embed; return the post-onset evaluation rows.
+
+    Only the raw rows from ``onset - d`` on are prepared, the ones those
+    rows read. Injection and scaling act on each value alone and embedding
+    only copies, so the result is bit-identical to preparing the whole run
+    and dropping the leading rows.
+    """
+    if fault.onset_k >= run.m:
+        raise IndexOutOfRange(f"onset {fault.onset_k} not in [0, {run.m})")
+    start = max(0, fault.onset_k - d)
+    lo = min(start, run.m - 2)  # a dataset holds at least two rows
+    tail = replace(run, samples=run.samples[lo:])
+    faulty = inject_fault(tail, replace(fault, onset_k=fault.onset_k - lo))
+    return embed_lags(apply_scaler(faulty, scaler), LagSpec(d)).samples[start - lo :]
+
+
+def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int):
+    """Yield the evaluation rows of ``run`` with a step fault on ``target``
+    for each amplitude in turn.
+
+    Every amplitude is yielded in one matrix, overwritten in place by the
+    next, so no caller may keep it. The first amplitude prepares it from
+    every column of the run. A step on
+    sensor ``s`` changes only raw column ``s``, so each later amplitude
+    prepares that column alone and copies its ``d+1`` lag columns into
+    ``s, s+n, ..., s+d*n``; the values are the same bits either way.
+    """
+    column = RawDataset(
+        run.samples[:, target : target + 1],
+        (run.sensor_names[target],),
+        run.sample_period_s,
+    )
+    base = model.base_scaler
+    column_scaler = ScalerParams(base.mean[target : target + 1], base.std[target : target + 1])
+    z = None
+    for amplitude in amplitudes:
+        fault = FaultSpec(sensor=target, amplitude=amplitude, onset_k=onset)
+        if z is None:
+            z = _prepare_run(run, fault, base, model.d)
+        else:
+            z[:, target :: model.n] = _prepare_run(
+                column, replace(fault, sensor=0), column_scaler, model.d
+            )
+        yield z
 
 
 def sweep(
@@ -359,6 +405,12 @@ def sweep(
         resets at every run boundary, so every (amplitude, run) stream is
         independent and all of them are filtered in one batched pass after
         the amplitude loop.
+
+    Raises
+    ------
+    NonFiniteResult
+        If any report number is not finite, as when an amplitude near the
+        float64 limit overflows the scaled data.
     """
     runs = list(runs)
     if not runs:
@@ -387,6 +439,14 @@ def sweep(
     stream_dtype = np.min_scalar_type(-model.n)
     pending = []  # (row position, tag, index of the row's first stream)
     rows: list[ReportRow] = []
+    nonzero = [a for a in grid if a != 0.0]
+    # One generator per run, advanced in lockstep: amplitude outer, run inner.
+    faulty = zip(
+        *(
+            _faulty_runs(model, run, target, nonzero, run.m // 2 if onset_k is None else onset_k)
+            for run in runs
+        )
+    )
     for amplitude in grid:
         if amplitude == 0.0:
             for tag, use_ebf in variants:
@@ -404,10 +464,7 @@ def sweep(
             continue
         winner_streams: dict = {tag: [] for tag in tags}
         estimate_streams: dict = {idx: [] for idx in indices}
-        for run in runs:
-            onset = run.m // 2 if onset_k is None else onset_k
-            fault = FaultSpec(sensor=target, amplitude=amplitude, onset_k=onset)
-            z = _prepare_run(model, run, fault)
+        for z in next(faulty):
             for tag in tags:
                 scores = contribution_matrix(model, z, tag)
                 winner_streams[tag].append(np.argmax(scores, axis=1))
@@ -452,6 +509,12 @@ def sweep(
                 decided[tag][start : start + len(runs)], target
             ),
         )
+    for row in rows:
+        if not all(v is None or math.isfinite(v) for v in (row.isolation_pct, row.recon_err_pct)):
+            raise NonFiniteResult(
+                f"{row.method}/{row.index} at amplitude {row.amplitude!r} scores a "
+                "non-finite number; the faulty data overflow float64"
+            )
     metadata = {
         "model_digest": model_digest(model),
         "target_sensor": target,

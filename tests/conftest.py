@@ -238,6 +238,20 @@ def assert_same_winners(scores: np.ndarray, reference: np.ndarray) -> None:
     np.testing.assert_allclose(reference[differs, win[differs]], top, rtol=1e-9)
 
 
+def oracle_prepare_run(model: PcaModel, run: RawDataset, fault: FaultSpec) -> np.ndarray:
+    """The full-run path: inject, scale and embed the whole run, then drop
+    the embedded rows before ``onset - d``."""
+    faulty = inject_fault(run, fault)
+    z = embed_lags(apply_scaler(faulty, model.base_scaler), LagSpec(model.d)).samples
+    return z[max(0, fault.onset_k - model.d) :]
+
+
+def oracle_faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int):
+    """Stand-in for ``harness._faulty_runs``: a fresh full-run matrix per amplitude."""
+    for amplitude in amplitudes:
+        yield oracle_prepare_run(model, run, FaultSpec(target, amplitude, onset))
+
+
 def oracle_read_raw_csv(path, sample_period_s: float = 0.1) -> RawDataset:
     """Row-by-row reader: ``float()`` on each cell, checks in line order."""
     path = Path(path)

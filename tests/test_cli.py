@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,15 @@ class TestFit:
         code = main(["--config", workspace["config"], "fit", str(bad_csv)])
         assert code == 2
         assert "s3" in capsys.readouterr().err
+
+    def test_overflowing_column_exit_2(self, tmp_path, capsys):
+        # noise_std 1e200 writes finite values whose variance overflows
+        config = write_config(tmp_path, {"simulate": {"noise_std": 1e200}})
+        assert main(["--config", config, "simulate", "--out-dir", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        code = main(["--config", config, "fit", str(tmp_path / "d" / "train.csv")])
+        assert code == 2
+        assert re.search(r"sensor 's\d': .*overflows float64", capsys.readouterr().err)
 
     def test_lag_exceeding_samples_exit_3(self, tmp_path, workspace):
         short = tmp_path / "short.csv"
@@ -239,6 +249,45 @@ class TestEval:
             ]
         )
         assert code == 2
+
+    def test_onset_past_the_run_exit_3(self, tmp_path, workspace, capsys):
+        config = write_config(tmp_path, {"sweep": {"onset_k": 400}})  # m_validation 400
+        capsys.readouterr()
+        code = main(["--config", config, "eval", str(workspace["model"]), str(workspace["validation"][0])])
+        assert code == 3
+        assert "onset 400 not in [0, 400)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [{"variance_fraction": 1.0}, {"sweep": {"amplitudes": [0.0, -0.0]}}],
+                             ids=["full-variance-model", "zero-amplitudes"])
+    def test_all_zero_grid_exit_3(self, tmp_path, workspace, capsys, overrides):
+        # a model keeping every component has residual std 0, so the
+        # default grid of +-6 residual stds is all zero
+        config = write_config(tmp_path, overrides)
+        model = tmp_path / "model.json"
+        assert main(["--config", config, "fit", str(workspace["train"]), "--model-out", str(model)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report"
+        code = main(["--config", config, "eval", str(model), str(workspace["validation"][0]),
+                     "--report-out", str(report)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "sweep.max_amplitude" in err and "sweep.amplitudes" in err
+        assert not list(tmp_path.glob("report.*"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_report_exit_2(self, tmp_path, workspace, capsys):
+        # amplitude / std overflows to inf for a target whose std is below 1
+        stds = load_model(workspace["model"]).base_scaler.std
+        target = int(np.argmin(stds))
+        assert stds[target] < 1.0
+        config = write_config(tmp_path, {"sweep": {"target_sensor": target, "amplitudes": [1.7e308, -1.7e308]}})
+        report = tmp_path / "report"
+        capsys.readouterr()
+        code = main(["--config", config, "eval", str(workspace["model"]),
+                     *[str(p) for p in workspace["validation"]], "--report-out", str(report)])
+        assert code == 2
+        assert "overflow float64" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report.*"))
 
     def test_target_sensor_out_of_range_exit_3(self, tmp_path, workspace):
         config = write_config(tmp_path, {"sweep": {"target_sensor": 40}})

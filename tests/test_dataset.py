@@ -18,6 +18,7 @@ from sensordiag.errors import (
     CsvParseError,
     DimensionMismatch,
     LagTooLarge,
+    NonFiniteResult,
     ZeroVarianceColumn,
 )
 from sensordiag.dataset import _CSV_CHUNK_ROWS
@@ -40,6 +41,14 @@ class TestFitScaler:
         with pytest.raises(ZeroVarianceColumn) as exc:
             fit_scaler(raw_from([5.0], [5.0], [5.0], names=("dead",)))
         assert "dead" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "column", [[1e200, -1e200, 1e200], [1.7e308, 1.7e308, 1.6e308]], ids=["std", "mean"]
+    )
+    def test_overflowing_column_rejected(self, column):
+        rows = [[1.0, v] for v in column]
+        with pytest.raises(NonFiniteResult, match="sensor 'hot'.*overflows float64"):
+            fit_scaler(raw_from(*rows, names=("ok", "hot")))
 
     def test_two_columns_direct_arithmetic(self):
         # mean = [3, 4]; std (ddof=1) = sqrt(((1-3)^2 + (5-3)^2) / 2) = 2

@@ -1,14 +1,20 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sensordiag import (
     ContributionMethod,
     DetectionIndex,
     EbfParams,
+    EvalReport,
     FaultSpec,
     IsolationMethod,
     LagSpec,
     RawDataset,
+    ReportRow,
     SimConfig,
     apply_scaler,
     contribution_matrix,
@@ -28,10 +34,16 @@ from sensordiag.errors import (
     DimensionMismatch,
     EmptySample,
     IndexOutOfRange,
+    NonFiniteResult,
     UnstableConfig,
     ZeroAmplitude,
 )
-from conftest import oracle_contribution_matrix, oracle_estimate_matrix
+from conftest import (
+    oracle_contribution_matrix,
+    oracle_estimate_matrix,
+    oracle_faulty_runs,
+    oracle_prepare_run,
+)
 
 CP_SPE = IsolationMethod(ContributionMethod.CP, DetectionIndex.SPE)
 CP_T2 = IsolationMethod(ContributionMethod.CP, DetectionIndex.T2)
@@ -329,6 +341,102 @@ class TestSweep:
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "amplitude,method,index,ebf,isolation_pct,recon_err_pct"
         assert (tmp_path / "report.json").stat().st_size > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_report_raises(self):
+        # A target std below 1 makes amplitude / std overflow to inf.
+        model = small_model()
+        target = int(np.argmin(model.base_scaler.std))
+        assert model.base_scaler.std[target] < 1.0
+        with pytest.raises(NonFiniteResult, match="overflow float64"):
+            sweep(model, validation_runs(1), target, [1.7e308], [(CP_SPE, False)], onset_k=200)
+
+    def test_to_json_writes_no_non_json_number(self, tmp_path):
+        row = ReportRow(1.0, "cp", "spe", False, 50.0, float("inf"))
+        with pytest.raises(ValueError):
+            EvalReport(rows=[row]).to_json(tmp_path / "report.json")
+        assert not (tmp_path / "report.json").exists()
+
+
+@lru_cache(maxsize=None)
+def lag_model(d):
+    return small_model(d=d, vf=0.8)
+
+
+@lru_cache(maxsize=None)
+def long_validation_run():
+    return simulate(small_config(seed=400, m=200))
+
+
+def ragged_runs(lengths):
+    """Runs of the given lengths, cut from one validation series."""
+    base = long_validation_run()
+    return [
+        RawDataset(base.samples[7 * j : 7 * j + m], base.sensor_names)
+        for j, m in enumerate(lengths)
+    ]
+
+
+def oracle_sweep(*args, **kwargs):
+    """``sweep`` with each faulty run prepared on the full-run path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_faulty_runs", oracle_faulty_runs)
+        return sweep(*args, **kwargs)
+
+
+class TestPatchedSweep:
+    """Tail-only preparation with the target's lag columns patched in place
+    must give the bits of the full inject-scale-embed path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([0, 1, 3]),
+        onset=st.sampled_from(["zero", "below_d", "last", "middle"]),
+        lengths=st.lists(st.integers(6, 40), min_size=1, max_size=3),
+        grid=st.lists(st.integers(-40, 40).map(lambda k: k / 4.0), min_size=1, max_size=5),
+    )
+    @example(d=0, onset="last", lengths=[9, 6], grid=[0.0, 1.5, -2.0])
+    @example(d=3, onset="below_d", lengths=[12, 40, 7], grid=[-0.25, 0.0, 4.0, 0.0])
+    def test_matches_full_run_oracle(self, d, onset, lengths, grid):
+        model = lag_model(d)
+        target = model.n - 1
+        runs = ragged_runs(lengths)
+        onset_k = {"zero": 0, "below_d": max(d - 1, 0), "last": min(lengths) - 1, "middle": None}[onset]
+        nonzero = [a for a in grid if a != 0.0]
+        for run in runs:
+            k = run.m // 2 if onset_k is None else onset_k
+            for amplitude, z in zip(nonzero, harness._faulty_runs(model, run, target, nonzero, k)):
+                expected = oracle_prepare_run(model, run, FaultSpec(target, amplitude, k))
+                assert z.shape == expected.shape
+                assert z.tobytes() == expected.tobytes()
+        rep = sweep(model, runs, target, grid, onset_k=onset_k)
+        ref = oracle_sweep(model, runs, target, grid, onset_k=onset_k)
+        assert rep.rows == ref.rows
+        assert rep.metadata == ref.metadata
+
+    def test_one_row_tail_at_lag_zero(self):
+        # d = 0 and onset m - 1 score one row, which alone is no dataset
+        model = lag_model(0)
+        run = ragged_runs([30])[0]
+        onset = run.m - 1
+        grid = [1.5, -2.0]
+        for amplitude, z in zip(grid, harness._faulty_runs(model, run, 0, grid, onset)):
+            expected = oracle_prepare_run(model, run, FaultSpec(0, amplitude, onset))
+            assert z.shape == (1, model.n)
+            assert z.tobytes() == expected.tobytes()
+        rep = sweep(model, [run], 0, [0.0, *grid], onset_k=onset)
+        assert rep.rows == oracle_sweep(model, [run], 0, [0.0, *grid], onset_k=onset).rows
+
+    @pytest.mark.parametrize("past", [0, 7])
+    def test_onset_past_the_run_raises_the_full_run_error(self, past):
+        model = lag_model(1)
+        runs = ragged_runs([40, 25])
+        onset = 25 + past
+        with pytest.raises(IndexOutOfRange) as patched:
+            sweep(model, runs, 0, [0.0, 1.0], onset_k=onset)
+        with pytest.raises(IndexOutOfRange) as full:
+            oracle_sweep(model, runs, 0, [0.0, 1.0], onset_k=onset)
+        assert str(patched.value) == str(full.value) == f"onset {onset} not in [0, 25)"
 
 
 class TestSignSymmetry:

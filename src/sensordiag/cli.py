@@ -306,6 +306,7 @@ def cmd_eval(args, cfg: dict) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # scoring rejects an overflow
 def cmd_monitor(args, cfg: dict) -> int:
     model = load_model(args.csv_model)
     data = read_raw_csv(args.csv, cfg["sample_period_s"])

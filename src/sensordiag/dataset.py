@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -264,25 +264,45 @@ def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
     )
 
 
-# Body rows converted per vectorised step. A chunk that fails any check on
-# read is rescanned row by row only to name its first bad line.
+# Body rows formatted per write.
 _CSV_CHUNK_ROWS = 8192
 
 
-def _first_csv_error(path: Path, rows: list[list[str]], n: int, first: int) -> CsvParseError:
-    """The error of the first bad row in ``rows``, which start at line ``first``."""
-    for lineno, row in enumerate(rows, start=first):
-        if len(row) != n:
-            return CsvParseError(f"{path}:{lineno}: expected {n} cells, got {len(row)}")
+def _loadtxt_lines(fh):
+    """The lines of ``fh`` for ``np.loadtxt``. It skips blank lines, warns on
+    no lines and ignores the csv field limit, so each of those cases raises
+    ``ValueError`` here instead: a blank or over-long line, or no line."""
+    limit = csv.field_size_limit()
+    line = None
+    for line in fh:
+        if line.isspace() or len(line) > limit:
+            raise ValueError("a line for the row-by-row reader")
+        yield line
+    if line is None:
+        raise ValueError("no body lines")
+
+
+def _read_rows(path: Path, n: int) -> np.ndarray:
+    """The body read record by record with ``float``, naming the first bad line."""
+    values = array("d")  # packed doubles, so memory stays near the result's size
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked by the caller
+        lineno = 1
         try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            return CsvParseError(f"{path}:{lineno}: unparseable cell")
-        if not all(math.isfinite(v) for v in values):
-            return CsvParseError(f"{path}:{lineno}: non-finite value")
-    # numpy converts each str cell with float() itself, so a chunk it
-    # rejects always holds a row that fails one of the checks above.
-    raise AssertionError(f"{path}:{first}: chunk rejected but no bad row found")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != n:
+                    raise CsvParseError(f"{path}:{lineno}: expected {n} cells, got {len(row)}")
+                try:
+                    cells = [float(cell) for cell in row]
+                except ValueError:
+                    raise CsvParseError(f"{path}:{lineno}: unparseable cell") from None
+                if not all(map(math.isfinite, cells)):
+                    raise CsvParseError(f"{path}:{lineno}: non-finite value")
+                values.extend(cells)
+        except csv.Error as exc:  # raised reading the record after ``lineno``
+            raise CsvParseError(f"{path}:{lineno + 1}: {exc}") from None
+    return np.frombuffer(values).reshape(-1, n)
 
 
 def read_raw_csv(path: str | Path, sample_period_s: float = 0.1) -> RawDataset:
@@ -290,37 +310,41 @@ def read_raw_csv(path: str | Path, sample_period_s: float = 0.1) -> RawDataset:
 
     Any missing, empty, or non-finite cell is a hard error naming its line
     (``<path>:<line>: ...``); silent repair would make experiments
-    irreproducible. Cells are parsed with Python's ``float``.
+    irreproducible. Cells are parsed with Python's ``float``. One
+    ``np.loadtxt`` call reads the body; if it fails, or reads a non-finite
+    value or the wrong width, the body is read again record by record, which
+    accepts, rejects and names lines exactly as ``float`` and ``csv`` do.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: file is empty") from None
-        names = [h.strip() for h in header]
-        if any(not h for h in names):
-            raise CsvParseError(f"{path}: blank sensor name in header")
-        if len(set(names)) != len(names):
-            raise CsvParseError(f"{path}: duplicate sensor names in header")
-        n = len(names)
-        blocks: list[np.ndarray] = []
-        lineno = 2
-        while chunk := list(islice(reader, _CSV_CHUNK_ROWS)):
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
             try:
-                block = np.array(chunk, dtype=float)  # float() on every cell
-            except ValueError:  # a ragged row or an unparseable cell
-                block = None
-            if block is None or block.shape[1:] != (n,) or not np.isfinite(block).all():
-                raise _first_csv_error(path, chunk, n, lineno)
-            blocks.append(block)
-            lineno += len(chunk)
-    m = lineno - 2
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise CsvParseError(f"{path}: file is empty") from None
+            except csv.Error as exc:
+                raise CsvParseError(f"{path}:1: {exc}") from None
+            names = [h.strip() for h in header]
+            if not names or any(not h for h in names):
+                raise CsvParseError(f"{path}: blank sensor name in header")
+            if len(set(names)) != len(names):
+                raise CsvParseError(f"{path}: duplicate sensor names in header")
+            n = len(names)
+            try:
+                samples = np.loadtxt(
+                    _loadtxt_lines(fh), delimiter=",", comments=None, dtype=float, ndmin=2
+                )
+            except ValueError:
+                samples = None
+        if samples is None or samples.shape[1] != n or not np.isfinite(samples).all():
+            samples = _read_rows(path, n)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    m = samples.shape[0]
     if m < 2:
         raise CsvParseError(f"{path}: need at least 2 data rows, got {m}")
     return RawDataset(
-        samples=blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+        samples=samples,
         sensor_names=tuple(names),
         sample_period_s=sample_period_s,
     )
@@ -329,12 +353,14 @@ def read_raw_csv(path: str | Path, sample_period_s: float = 0.1) -> RawDataset:
 def write_raw_csv(data: RawDataset, path: str | Path) -> None:
     """Write a dataset in the same strict CSV layout ``read_raw_csv`` accepts.
 
-    ``csv`` writes each float as its ``repr``, so a read gives back the same
-    bits. Rows are converted a chunk at a time to bound memory.
+    Each float is written as its ``repr`` (``%r``), so a read gives back the
+    same bits; no repr needs quoting, so the bytes are those ``csv`` writes.
+    The body is formatted one block of rows per write to bound memory.
     """
     path = Path(path)
+    row_fmt = ",".join(["%r"] * data.n) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.sensor_names)
+        csv.writer(fh).writerow(data.sensor_names)
         for start in range(0, data.m, _CSV_CHUNK_ROWS):
-            writer.writerows(data.samples[start : start + _CSV_CHUNK_ROWS].tolist())
+            block = data.samples[start : start + _CSV_CHUNK_ROWS]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySample, SingularLambda
+from .errors import DimensionMismatch, EmptySample, NonFiniteResult, SingularLambda
 
 if TYPE_CHECKING:
     from .pca import PcaModel
@@ -61,7 +61,14 @@ def _row_blocks(m: int) -> list[slice]:
     return [slice(i * m // k, (i + 1) * m // k) for i in range(k)]
 
 
-def _squared_norms(rows: np.ndarray, loadings: np.ndarray, scale=None) -> np.ndarray:
+def _check_finite(scores: np.ndarray, what: str) -> None:
+    """Raise ``NonFiniteResult`` if a block of non-negative scores holds an
+    inf or a nan; one ``max`` finds either, since nan propagates."""
+    if scores.size and not math.isfinite(scores.max()):
+        raise NonFiniteResult(f"{what} scores overflow float64; the scaled data are too large")
+
+
+def _squared_norms(rows: np.ndarray, loadings: np.ndarray, what: str, scale=None) -> np.ndarray:
     """Squared norm of each row of ``rows @ loadings / scale``, block by block."""
     out = np.empty(rows.shape[0])
     for blk in _row_blocks(rows.shape[0]):
@@ -70,6 +77,7 @@ def _squared_norms(rows: np.ndarray, loadings: np.ndarray, scale=None) -> np.nda
             scores /= scale
         out[blk] = np.einsum("ij,ij->i", scores, scores)
         del scores  # free this block before the next gemm allocates its own
+        _check_finite(out[blk], what)
     return out
 
 
@@ -77,9 +85,10 @@ def spe(model: "PcaModel", x: np.ndarray):
     """Squared prediction error: squared norm of the residual projection.
 
     Accepts a single vector (returns a float) or a matrix of row vectors
-    (returns one value per row).
+    (returns one value per row). Both indices raise ``NonFiniteResult``
+    when a score overflows float64.
     """
-    values = _squared_norms(_rows(model, x), model.p_tilde)
+    values = _squared_norms(_rows(model, x), model.p_tilde, "spe")
     return float(values[0]) if np.ndim(x) == 1 else values
 
 
@@ -90,7 +99,7 @@ def t2(model: "PcaModel", x: np.ndarray):
         raise SingularLambda(
             "a retained eigenvalue is numerically zero; T2 is undefined"
         )
-    values = _squared_norms(rows, model.p_hat, np.sqrt(model.lambda_hat))
+    values = _squared_norms(rows, model.p_hat, "t2", np.sqrt(model.lambda_hat))
     return float(values[0]) if np.ndim(x) == 1 else values
 
 

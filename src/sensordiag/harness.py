@@ -374,6 +374,7 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
         yield z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def sweep(
     model: PcaModel,
     runs,
@@ -409,8 +410,9 @@ def sweep(
     Raises
     ------
     NonFiniteResult
-        If any report number is not finite, as when an amplitude near the
-        float64 limit overflows the scaled data.
+        If a score or a report number is not finite, as when an amplitude
+        near the float64 limit overflows the scaled data. Each amplitude
+        is checked as soon as it is scored.
     """
     runs = list(runs)
     if not runs:
@@ -475,6 +477,14 @@ def sweep(
                 estimate_streams[idx].append(
                     estimate_matrix(model, z, target, idx) * std_target
                 )
+        # Percentages count integer winners, so only the errors can overflow.
+        recon = {idx: reconstruction_error(estimate_streams[idx], amplitude) for idx in indices}
+        for idx, err in recon.items():
+            if not math.isfinite(err):
+                raise NonFiniteResult(
+                    f"{idx.value} estimates at amplitude {amplitude!r} score a "
+                    "non-finite error; the faulty data overflow float64"
+                )
         for tag, use_ebf in variants:
             if use_ebf:
                 pending.append((len(rows), tag, len(ebf_streams[tag]) - len(runs)))
@@ -487,9 +497,7 @@ def sweep(
                     isolation_pct=None
                     if use_ebf
                     else isolation_percentage(winner_streams[tag], target),
-                    recon_err_pct=reconstruction_error(
-                        estimate_streams[tag.index], amplitude
-                    ),
+                    recon_err_pct=recon[tag.index],
                 )
             )
     # The filter is causal, so right-padding a shorter stream cannot change
@@ -509,12 +517,6 @@ def sweep(
                 decided[tag][start : start + len(runs)], target
             ),
         )
-    for row in rows:
-        if not all(v is None or math.isfinite(v) for v in (row.isolation_pct, row.recon_err_pct)):
-            raise NonFiniteResult(
-                f"{row.method}/{row.index} at amplitude {row.amplitude!r} scores a "
-                "non-finite number; the faulty data overflow float64"
-            )
     metadata = {
         "model_digest": model_digest(model),
         "target_sensor": target,

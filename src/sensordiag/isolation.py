@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detection import _row_blocks, _rows
+from .detection import _check_finite, _row_blocks, _rows
 from .errors import DegenerateDirection, DimensionMismatch, IndexOutOfRange
 
 if TYPE_CHECKING:
@@ -157,6 +157,7 @@ def contribution_matrix(
     """Per-sensor scores for a batch of standardized row vectors.
 
     Returns an (m, n) array; each row is the score vector of one sample.
+    A score that overflows float64 raises ``NonFiniteResult``.
     """
     rows = _rows(model, x)
     ku, dens = _attribution(model, tag)
@@ -172,6 +173,7 @@ def contribution_matrix(
         scores **= 2
         if rbc:
             scores /= dens
+        _check_finite(scores, str(tag))
     return out
 
 

@@ -262,7 +262,7 @@ def oracle_read_raw_csv(path, sample_period_s: float = 0.1) -> RawDataset:
         except StopIteration:
             raise CsvParseError(f"{path}: file is empty") from None
         names = [h.strip() for h in header]
-        if any(not h for h in names):
+        if not names or any(not h for h in names):
             raise CsvParseError(f"{path}: blank sensor name in header")
         if len(set(names)) != len(names):
             raise CsvParseError(f"{path}: duplicate sensor names in header")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli
 from sensordiag import contribution_matrix, spe, t2
 from sensordiag.detection import _BLOCK_ROWS, _row_blocks
-from sensordiag.errors import DegenerateDirection
+from sensordiag.errors import DegenerateDirection, NonFiniteResult
 from conftest import (
     assert_same_winners,
     make_model,
@@ -159,3 +159,21 @@ class TestMemoryBound:
             code, peak = traced_peak(cli.main, argv)
         assert code == 0
         assert peak < embedded_nbytes
+
+
+class TestNonFiniteScores:
+    """Each scored block is checked for inf and nan, whichever block holds them."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, before the raise
+    @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+    @pytest.mark.parametrize("row", [0, _BLOCK_ROWS + 5], ids=["first-block", "second-block"])
+    def test_every_score_raises(self, bad, row):
+        model = make_model(n=3, m=200, seed=5, d=1)
+        rows = random_rows(model, _BLOCK_ROWS + 10, seed=6)
+        rows[row, 0] = bad
+        for name, score in [("spe", spe), ("t2", t2)]:
+            with pytest.raises(NonFiniteResult, match=f"^{name} scores overflow float64"):
+                score(model, rows)
+        for tag in ALL_METHODS:
+            with pytest.raises(NonFiniteResult, match=f"^{tag} scores overflow float64"):
+                contribution_matrix(model, rows, tag)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -473,3 +476,66 @@ class TestMonitorBlocks:
         assert out == oracle_monitor_ndjson(load_model(model), csv, monitor, EbfParams())
         if method == "rbc":  # plain contributions may smear onto another sensor
             assert '"ebf_declared": 0,' in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args, cwd):
+    """``python -m sensordiag`` in a fresh interpreter with default warning filters."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "sensordiag", *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def assert_one_data_error(proc, message):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("data error: ")
+    assert message in proc.stderr
+
+
+class TestQuietDataErrors:
+    """Inputs that used to exit 1 with a traceback, or 0 with an infinite
+    score, exit 2 with one ``data error:`` line and nothing else."""
+
+    def test_monitor_not_utf8_csv(self, tmp_path, workspace):
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + workspace["validation"][0].read_bytes())
+        proc = run_cli(["--config", workspace["config"], "monitor", str(workspace["model"]), str(bad)], tmp_path)
+        assert_one_data_error(proc, f"{bad}: not UTF-8 text")
+
+    def test_monitor_cell_over_field_limit(self, tmp_path, workspace):
+        bad = tmp_path / "long.csv"
+        bad.write_text("s1,s2,s3,s4\n1,2,3,4\n1,2,3," + "4" * 200_000 + "\n")
+        proc = run_cli(["--config", workspace["config"], "monitor", str(workspace["model"]), str(bad)], tmp_path)
+        assert_one_data_error(proc, f"{bad}:3: field larger than field limit")
+
+    @pytest.mark.parametrize("value", [1e200, 1.7e308])
+    def test_monitor_score_overflow(self, tmp_path, workspace, value):
+        # 1e200 is finite once scaled, but its squared score is not;
+        # 1.7e308 / std overflows the scaling of a column whose std is below 1
+        stds = load_model(workspace["model"]).base_scaler.std
+        data = read_raw_csv(workspace["validation"][0])
+        samples = np.array(data.samples)
+        samples[150, int(np.argmin(stds))] = value
+        bad = tmp_path / "huge.csv"
+        write_raw_csv(type(data)(samples, data.sensor_names), bad)
+        proc = run_cli(["--config", workspace["config"], "monitor", str(workspace["model"]), str(bad)], tmp_path)
+        assert_one_data_error(proc, "overflow float64")
+
+    @pytest.mark.parametrize("amplitude", [1e300, 1.7e308])
+    def test_eval_overflow(self, tmp_path, workspace, amplitude):
+        # 1e300 squares to inf in the contribution scores; 1.7e308 / std
+        # overflows the scaled data of a target whose std is below 1
+        stds = load_model(workspace["model"]).base_scaler.std
+        target = int(np.argmin(stds))
+        sweep = {"target_sensor": target, "amplitudes": [amplitude, -amplitude]}
+        config = write_config(tmp_path, {"sweep": sweep})
+        report = tmp_path / "report"
+        args = ["--config", config, "eval", str(workspace["model"]), *map(str, workspace["validation"])]
+        proc = run_cli([*args, "--report-out", str(report)], tmp_path)
+        assert_one_data_error(proc, "overflow float64")
+        assert not list(tmp_path.glob("report.*"))

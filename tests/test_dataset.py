@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,20 +276,23 @@ def csv_bodies(draw):
     return [f"c{i}" for i in range(n)], rows
 
 
+@pytest.mark.filterwarnings("error")
 class TestCsvReaderOracle:
     @given(
         case=csv_bodies(),
-        newline=st.sampled_from(["\n", "\r\n"]),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        final_newline=st.booleans(),
         pad=st.sampled_from([0, _CSV_CHUNK_ROWS - 3]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_row_by_row_reader(self, tmp_path_factory, case, newline, pad):
+    def test_matches_row_by_row_reader(self, tmp_path_factory, case, newline, final_newline, pad):
         names, rows = case
-        # ``pad`` good rows first put the drawn rows across the first chunk boundary.
+        # ``pad`` good rows first put the drawn rows past the first 8192 lines.
         lines = [",".join(names)] + [",".join(["1.5"] * len(names))] * pad
         lines += [",".join(row) for row in rows]
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        body = newline.join(lines) + (newline if final_newline else "")
+        path.write_bytes(body.encode("utf-8"))
         got = read_or_error(read_raw_csv, path)
         want = read_or_error(oracle_read_raw_csv, path)
         if isinstance(want, str):
@@ -296,3 +301,128 @@ class TestCsvReaderOracle:
             assert not isinstance(got, str), got
             assert got.samples.tobytes() == want.samples.tobytes()
             assert got.sensor_names == want.sensor_names
+
+
+# Inputs ``np.loadtxt`` reads differently from ``float`` (it skips blank
+# lines, parses ``Infinity``, warns on an empty body) or that exercise its
+# line handling, with the outcome each must keep: the message after
+# ``<path>``, or the values read.
+LOADTXT_HAZARDS = {
+    "blank-line-mid-file": (b"a,b\n1,2\n\n3,4\n", ":3: expected 2 cells, got 0"),
+    "blank-line-last": (b"a,b\n1,2\n3,4\n\n", ":4: expected 2 cells, got 0"),
+    "blank-crlf-line": (b"a,b\r\n1,2\r\n\r\n3,4\r\n", ":3: expected 2 cells, got 0"),
+    "blank-cr-line": (b"a,b\r1,2\r\r3,4\r", ":3: expected 2 cells, got 0"),
+    "whitespace-only-line": (b"a,b\n1,2\n \t\n3,4\n", ":3: expected 2 cells, got 1"),
+    "whitespace-only-one-column": (b"a\n1\n  \n3\n", ":3: unparseable cell"),
+    "hash": (b"a,b\n1,2\n3,4 # note\n", ":3: unparseable cell"),
+    "hash-line": (b"a,b\n# 1,2\n3,4\n5,6\n", ":2: unparseable cell"),
+    "infinity": (b"a,b\n1,2\n3,Infinity\n", ":3: non-finite value"),
+    "overflow": (b"a,b\n1,2\n3,1e400\n", ":3: non-finite value"),
+    "header-only": (b"a,b\n", ": need at least 2 data rows, got 0"),
+    "header-only-no-newline": (b"a,b", ": need at least 2 data rows, got 0"),
+    "blank-header": (b"\n1,2\n3,4\n", ": blank sensor name in header"),
+    "cr-line-ends": (b"a,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+    "no-final-newline": (b"a,b\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+    "one-column": (b"a\n1\n-2.5\n", [[1.0], [-2.5]]),
+    "underscore-digits": (b"a,b\n1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+    "quoted-cell": (b'a,b\n"1",2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+    "unicode-padding": ("a,b\n\u20031\u2003,2\n3,\u0664\n".encode(), [[1.0, 2.0], [3.0, 4.0]]),
+    "wide-rows": (b"a\n1,2\n3,4\n", ":2: expected 1 cells, got 2"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestLoadtxtHazards:
+    @pytest.mark.parametrize("name", list(LOADTXT_HAZARDS))
+    def test_same_outcome_as_row_by_row_reader(self, tmp_path, name):
+        body, expected = LOADTXT_HAZARDS[name]
+        path = tmp_path / "data.csv"
+        path.write_bytes(body)
+        got = read_or_error(read_raw_csv, path)
+        want = read_or_error(oracle_read_raw_csv, path)
+        if isinstance(expected, str):
+            assert got == want == f"{path}{expected}"
+        else:
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.samples.tolist() == expected
+
+    def test_header_names_survive_the_fast_path(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'"x,1" , y\r\n1,2\r\n3,4\r\n')
+        assert read_raw_csv(path).sensor_names == ("x,1", "y")
+
+
+def _not_utf8_bodies():
+    good = b"1.0,2.0\n" * 2000  # past the first decoded block of the file
+    return {
+        "header": b"a\xff\xfe,b\n1,2\n3,4\n",
+        "body-fast-path": b"a,b\n" + good + b"3,4\xff\n",
+        # ``1_0`` sends the body to the row-by-row reader before the bad byte
+        "body-row-by-row": b"a,b\n1_0,2\n" + good + b"3,\xfe4\n",
+    }
+
+
+def _long_cell_bodies():
+    # One over the csv module's default field limit; np.loadtxt reads it as 0.0.
+    cell = b"0." + b"0" * 131071
+    return {
+        "header": b"a," + cell + b"\n1,2\n3,4\n",
+        "body-fast-path": b"a,b\n1,2\n3," + cell + b"\n",
+        "body-row-by-row": b"a,b\n1_0,2\n3," + cell + b"\n",
+    }
+
+
+class TestCsvDataErrors:
+    @pytest.mark.parametrize("where", list(_not_utf8_bodies()))
+    def test_not_utf8_is_a_parse_error(self, tmp_path, where):
+        path = tmp_path / "data.csv"
+        path.write_bytes(_not_utf8_bodies()[where])
+        with pytest.raises(CsvParseError) as exc:
+            read_raw_csv(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("where, line", [("header", 1), ("body-fast-path", 3), ("body-row-by-row", 3)])
+    def test_cell_over_the_field_limit_names_its_line(self, tmp_path, where, line):
+        path = tmp_path / "data.csv"
+        path.write_bytes(_long_cell_bodies()[where])
+        with pytest.raises(CsvParseError) as exc:
+            read_raw_csv(path)
+        assert str(exc.value) == f"{path}:{line}: field larger than field limit (131072)"
+
+
+@st.composite
+def chunk_datasets(draw):
+    """1-8 columns and row counts on either side of a writer block boundary."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.sampled_from([2, 3, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1]))
+    values = draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24)
+    )
+    samples = np.resize(np.array(values + [-0.0, 5e-324]), (m, n))
+    return RawDataset(samples, tuple(f"s{i}" for i in range(n)))
+
+
+class TestCsvWriterOracle:
+    @given(raw=chunk_datasets())
+    @settings(max_examples=12, deadline=None)
+    def test_bytes_match_per_cell_writer(self, tmp_path_factory, raw):
+        out = tmp_path_factory.mktemp("csv")
+        write_raw_csv(raw, out / "new.csv")
+        oracle_write_raw_csv(raw, out / "old.csv")
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_read_peak_memory_is_bounded_by_the_result(tmp_path):
+    # 50k x 8, the monitor_replay series shape. A reader that holds the
+    # text or its str cells peaks several times over the result's size.
+    raw = make_raw(n=8, m=50_000, seed=8)
+    path = tmp_path / "series.csv"
+    write_raw_csv(raw, path)
+    tracemalloc.start()
+    try:
+        got = read_raw_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.samples.tobytes() == raw.samples.tobytes()
+    assert peak < 2 * got.samples.nbytes

@@ -351,6 +351,20 @@ class TestSweep:
         with pytest.raises(NonFiniteResult, match="overflow float64"):
             sweep(model, validation_runs(1), target, [1.7e308], [(CP_SPE, False)], onset_k=200)
 
+    def test_non_finite_error_stops_at_its_amplitude(self, monkeypatch):
+        # |estimate - A| / A overflows at the smallest subnormal amplitude,
+        # while every contribution score stays finite.
+        calls = []
+
+        def counting(model, z, tag):
+            calls.append(tag)
+            return contribution_matrix(model, z, tag)
+
+        monkeypatch.setattr(harness, "contribution_matrix", counting)
+        with pytest.raises(NonFiniteResult, match=r"^spe estimates at amplitude 5e-324 .*overflow float64"):
+            sweep(small_model(), validation_runs(2), 0, [1.0, 5e-324, 2.0, 3.0], [(CP_SPE, False)], onset_k=200)
+        assert len(calls) == 2 * 2  # two amplitudes of two runs, then no more
+
     def test_to_json_writes_no_non_json_number(self, tmp_path):
         row = ReportRow(1.0, "cp", "spe", False, 50.0, float("inf"))
         with pytest.raises(ValueError):

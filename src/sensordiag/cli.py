@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,11 @@ DEFAULT_CONFIG: dict = {
         "noise_std": 1.0,
     },
 }
+
+# Monitor lines formatted per stdout write: small enough that the rendered
+# text stays a small transient, large enough to amortise each call.
+_RENDER_LINES = 1024
+_JSON_BOOL = ("false", "true")
 
 _CONFIG_ERRORS = (ConfigError, LagTooLarge, UnstableConfig, IndexOutOfRange)
 _DATA_ERRORS = (
@@ -216,8 +222,11 @@ def load_config(path: str | None) -> dict:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path}: not UTF-8 text") from None
+        except (OSError, ValueError, RecursionError) as exc:
+            # JSONDecodeError, an over-long integer, deep nesting, a directory
+            raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = _merge_strict(DEFAULT_CONFIG, user)
@@ -320,36 +329,47 @@ def cmd_monitor(args, cfg: dict) -> int:
     gate = cfg["monitor"]["gate_on_detection"]
     params = _ebf_params(cfg)
     d = model.d
-    spe_list, t2_list, spe_exceeds, t2_exceeds, winners = [], [], [], [], []
+    spe_parts, t2_parts, winner_parts = [], [], []
     # Embed and score one row block at a time, so memory is bounded by the
-    # block; embedded row e reads scaled rows e .. e + d.
+    # block; embedded row e reads scaled rows e .. e + d. Every block is
+    # scored before the first line is written.
     for blk in _row_blocks(max(scaled.m - d, 0)):
         window = replace(scaled, samples=scaled.samples[blk.start : blk.stop + d])
         z = embed_lags(window, LagSpec(d)).samples
-        spe_vals = spe(model, z)
-        t2_vals = t2(model, z)
-        spe_exceeds += (spe_vals > model.spe_limit).tolist()
-        t2_exceeds += (t2_vals > model.t2_limit).tolist()
-        winners += contribution_matrix(model, z, tag).argmax(axis=1).tolist()
-        spe_list += spe_vals.tolist()
-        t2_list += t2_vals.tolist()
+        spe_parts.append(spe(model, z))
+        t2_parts.append(t2(model, z))
+        winner_parts.append(contribution_matrix(model, z, tag).argmax(axis=1))
         del z  # free this block before the next one is embedded
+    spe_all, t2_all, winner_all = map(np.concatenate, (spe_parts, t2_parts, winner_parts))
+    # json.dumps spelling: a finite float prints as its repr, as %r does.
+    line = (
+        '{"k": %d, "spe": %r, "t2": %r, "spe_exceeds": %s, "t2_exceeds": %s, '
+        '"raw_winner": %d, "ebf_declared": %s, "s": [' + ", ".join(["%r"] * model.n) + "]}\n"
+    )
     state = EbfState.fresh(model.n)
-    out = sys.stdout
-    for e, winner in enumerate(winners):
-        if not gate or spe_exceeds[e] or t2_exceeds[e]:
-            state = ebf_step(state, winner, params)
-        record = {
-            "k": e + d,
-            "spe": spe_list[e],
-            "t2": t2_list[e],
-            "spe_exceeds": spe_exceeds[e],
-            "t2_exceeds": t2_exceeds[e],
-            "raw_winner": winner,
-            "ebf_declared": ebf_decide(state, params),
-            "s": state.s.tolist(),
-        }
-        out.write(json.dumps(record) + "\n")
+    for lo in range(0, winner_all.size, _RENDER_LINES):
+        chunk = slice(lo, lo + _RENDER_LINES)
+        winners = winner_all[chunk].tolist()
+        spe_exceeds = (spe_all[chunk] > model.spe_limit).tolist()
+        t2_exceeds = (t2_all[chunk] > model.t2_limit).tolist()
+        declared, levels = [], []
+        for winner, spe_hit, t2_hit in zip(winners, spe_exceeds, t2_exceeds):
+            if not gate or spe_hit or t2_hit:
+                state = ebf_step(state, winner, params)
+            decision = ebf_decide(state, params)
+            declared.append("null" if decision is None else decision)
+            levels.append(state.s)
+        cols = [
+            range(lo + d, lo + d + len(winners)),
+            spe_all[chunk].tolist(),
+            t2_all[chunk].tolist(),
+            [_JSON_BOOL[hit] for hit in spe_exceeds],
+            [_JSON_BOOL[hit] for hit in t2_exceeds],
+            winners,
+            declared,
+            *np.array(levels).T.tolist(),
+        ]
+        sys.stdout.write((line * len(winners)) % tuple(chain.from_iterable(zip(*cols))))
     return 0
 
 

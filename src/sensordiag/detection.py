@@ -68,6 +68,7 @@ def _check_finite(scores: np.ndarray, what: str) -> None:
         raise NonFiniteResult(f"{what} scores overflow float64; the scaled data are too large")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite reports it
 def _squared_norms(rows: np.ndarray, loadings: np.ndarray, what: str, scale=None) -> np.ndarray:
     """Squared norm of each row of ``rows @ loadings / scale``, block by block."""
     out = np.empty(rows.shape[0])

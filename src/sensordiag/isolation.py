@@ -151,6 +151,7 @@ def _attribution(
     return cache[tag]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite reports it
 def contribution_matrix(
     model: "PcaModel", x: np.ndarray, tag: IsolationMethod
 ) -> np.ndarray:

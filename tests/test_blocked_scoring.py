@@ -164,7 +164,6 @@ class TestMemoryBound:
 class TestNonFiniteScores:
     """Each scored block is checked for inf and nan, whichever block holds them."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, before the raise
     @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan], ids=["overflow", "inf", "nan"])
     @pytest.mark.parametrize("row", [0, _BLOCK_ROWS + 5], ids=["first-block", "second-block"])
     def test_every_score_raises(self, bad, row):

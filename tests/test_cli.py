@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,10 +9,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sensordiag import EbfParams, FaultSpec, inject_fault, load_model, read_raw_csv, write_raw_csv
-from sensordiag.cli import main
-from conftest import MODEL_DEFECTS, oracle_monitor_ndjson
+from sensordiag import (
+    EbfParams,
+    FaultSpec,
+    LagSpec,
+    RawDataset,
+    apply_scaler,
+    embed_lags,
+    fit_pca,
+    fit_scaler,
+    inject_fault,
+    load_model,
+    read_raw_csv,
+    save_model,
+    write_raw_csv,
+)
+from sensordiag.cli import _RENDER_LINES, main
+from sensordiag.detection import _row_blocks
+from conftest import MODEL_DEFECTS, make_raw, oracle_monitor_ndjson
 
 BASE_CONFIG = {
     "lag_depth": 2,
@@ -36,6 +55,19 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def assert_same_stream(out, expected):
+    """Byte equality of two NDJSON streams, reported as the first differing
+    line; pytest's own diff of two long strings takes minutes."""
+    if out != expected:
+        got, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+        pairs = enumerate(zip(got, want))
+        first = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        pytest.fail(
+            f"{len(got)} lines vs {len(want)} expected; first difference at line {first}: "
+            f"{got[first : first + 1]!r} != {want[first : first + 1]!r}"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +442,7 @@ class TestMonitor:
         capsys.readouterr()
         assert main(["--config", config, "monitor", str(model), str(csv)]) == 0
         out = capsys.readouterr().out
-        assert out == oracle_monitor_ndjson(load_model(model), csv, monitor, EbfParams())
+        assert_same_stream(out, oracle_monitor_ndjson(load_model(model), csv, monitor, EbfParams()))
 
 
 @pytest.fixture(scope="module")
@@ -440,7 +472,7 @@ class TestMonitorOracle:
         assert main(["--config", config, "monitor", str(workspace["model"]), str(csv)]) == 0
         out = capsys.readouterr().out
         model = load_model(workspace["model"])
-        assert out == oracle_monitor_ndjson(model, csv, monitor, EbfParams())
+        assert_same_stream(out, oracle_monitor_ndjson(model, csv, monitor, EbfParams()))
         if fault:
             assert '"ebf_declared": 0,' in out
 
@@ -454,7 +486,8 @@ class TestMonitorOracle:
         out = capsys.readouterr().out
         monitor = {"method": "rbc", "index": "t2", "gate_on_detection": False}
         params = EbfParams(lower_sat=-0.0)
-        assert out == oracle_monitor_ndjson(load_model(workspace["model"]), faulty_csv, monitor, params)
+        expected = oracle_monitor_ndjson(load_model(workspace["model"]), faulty_csv, monitor, params)
+        assert_same_stream(out, expected)
         assert "-0.0" in out
 
 
@@ -462,7 +495,9 @@ class TestMonitorBlocks:
     """A series longer than one scoring block prints what whole-array scoring
     of the full embedded series prints."""
 
-    @pytest.mark.parametrize("method, index", [("rbc", "t2"), ("cp", "spe")])
+    @pytest.mark.parametrize(
+        "method, index", [("rbc", "t2"), ("cp", "spe"), ("rbc", "spe"), ("cp", "t2")]
+    )
     @pytest.mark.parametrize("gate", [False, True], ids=["ungated", "gated"])
     def test_stdout_matches_whole_array_oracle(self, tmp_path, long_series, capsys, gate, method, index):
         monitor = {"method": method, "index": index, "gate_on_detection": gate}
@@ -473,7 +508,7 @@ class TestMonitorBlocks:
         assert main(["--config", str(config), "monitor", str(model), str(csv)]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") == long_series["rows"] - long_series["d"]
-        assert out == oracle_monitor_ndjson(load_model(model), csv, monitor, EbfParams())
+        assert_same_stream(out, oracle_monitor_ndjson(load_model(model), csv, monitor, EbfParams()))
         if method == "rbc":  # plain contributions may smear onto another sensor
             assert '"ebf_declared": 0,' in out
 
@@ -539,3 +574,139 @@ class TestQuietDataErrors:
         proc = run_cli([*args, "--report-out", str(report)], tmp_path)
         assert_one_data_error(proc, "overflow float64")
         assert not list(tmp_path.glob("report.*"))
+
+    def test_monitor_overflow_in_last_block_prints_nothing(self, tmp_path, long_series):
+        # Every block is scored before the first line is written, so an
+        # overflow in the last scoring block still leaves stdout empty.
+        d = long_series["d"]
+        blocks = _row_blocks(long_series["rows"] - d)
+        assert len(blocks) >= 2
+        row = (blocks[-1].start + blocks[-1].stop) // 2 + d  # read by embedded rows row-d .. row
+        assert row - d >= blocks[-1].start
+        data = read_raw_csv(long_series["csv"])
+        samples = np.array(data.samples)
+        samples[row, 3] = 1e200
+        bad = tmp_path / "late_overflow.csv"
+        write_raw_csv(type(data)(samples, data.sensor_names), bad)
+        proc = run_cli(["monitor", str(long_series["model"]), str(bad)], tmp_path)
+        assert_one_data_error(proc, "overflow float64")
+
+
+class TestQuietConfigErrors:
+    """Config files that used to exit 1 with a traceback exit 3 with one
+    ``config error:`` line that names the file."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"1" * 5000, b"[" * 100_000, None],
+        ids=["not-utf8", "long-integer", "deep-nesting", "directory"],
+    )
+    def test_unreadable_config_exit_3(self, tmp_path, content):
+        config = tmp_path / "config.json"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        out_dir = tmp_path / "out"
+        proc = run_cli(["--config", str(config), "simulate", "--out-dir", str(out_dir)], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"config error: config file {config}: ")
+        assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def chunk_series(tmp_path_factory):
+    """An n=4, d=2 model and a series three render chunks and eight rows long,
+    with a step fault on sensor 0 from sample 700."""
+    root = tmp_path_factory.mktemp("render_chunks")
+    d, m_train = 2, 3000
+    raw = make_raw(n=4, m=m_train + 3 * _RENDER_LINES + 8, seed=41)
+    train = RawDataset(raw.samples[:m_train], raw.sensor_names)
+    save_model(fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(d))), root / "model.json")
+    series = RawDataset(raw.samples[m_train:], raw.sensor_names)
+    amplitude = 4.0 * train.samples[:, 0].std(ddof=1)
+    return {
+        "root": root,
+        "model": root / "model.json",
+        "series": inject_fault(series, FaultSpec(sensor=0, amplitude=amplitude, onset_k=700)),
+        "d": d,
+    }
+
+
+def write_lines_csv(case, lines, path):
+    """The first ``lines + d`` rows of the case's series: ``lines`` monitor lines."""
+    data = case["series"]
+    write_raw_csv(RawDataset(data.samples[: lines + case["d"]], data.sensor_names), path)
+    return path
+
+
+def monitor_stdout(config, model, csv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--config", config, "monitor", str(model), str(csv)]) == 0
+    return out.getvalue()
+
+
+class TestMonitorRenderChunks:
+    """Streams that end just before, on and just after a render-chunk edge
+    print what one ``json.dumps`` per sample prints."""
+
+    @pytest.mark.parametrize(
+        "lines", [_RENDER_LINES - 1, _RENDER_LINES, _RENDER_LINES + 1, 2 * _RENDER_LINES + 1]
+    )
+    @pytest.mark.parametrize("index", ["spe", "t2"])
+    @pytest.mark.parametrize("method", ["cp", "rbc"])
+    @pytest.mark.parametrize("gate", [False, True], ids=["ungated", "gated"])
+    def test_chunk_edges(self, tmp_path, chunk_series, gate, method, index, lines):
+        monitor = {"method": method, "index": index, "gate_on_detection": gate}
+        config = write_config(tmp_path, {"monitor": monitor})
+        csv = write_lines_csv(chunk_series, lines, tmp_path / "series.csv")
+        out = monitor_stdout(config, chunk_series["model"], csv)
+        assert out.count("\n") == lines
+        expected = oracle_monitor_ndjson(load_model(chunk_series["model"]), csv, monitor, EbfParams())
+        assert_same_stream(out, expected)
+
+    @given(
+        lines=st.sampled_from([1, 2, 3]).flatmap(
+            lambda c: st.integers(c * _RENDER_LINES - 2, c * _RENDER_LINES + 2)
+        ),
+        gate=st.booleans(),
+        method=st.sampled_from(["cp", "rbc"]),
+        index=st.sampled_from(["spe", "t2"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_lengths_around_chunk_edges(self, chunk_series, lines, gate, method, index):
+        root = chunk_series["root"]
+        monitor = {"method": method, "index": index, "gate_on_detection": gate}
+        config = write_config(root, {"monitor": monitor}, name="hypothesis.json")
+        csv = write_lines_csv(chunk_series, lines, root / "hypothesis.csv")
+        out = monitor_stdout(config, chunk_series["model"], csv)
+        expected = oracle_monitor_ndjson(load_model(chunk_series["model"]), csv, monitor, EbfParams())
+        assert_same_stream(out, expected)
+
+    def test_negative_zero_band_edge(self, tmp_path, chunk_series):
+        config = write_config(tmp_path, {"ebf": {"lower_sat": -0.0}})
+        csv = write_lines_csv(chunk_series, 2 * _RENDER_LINES + 1, tmp_path / "series.csv")
+        out = monitor_stdout(config, chunk_series["model"], csv)
+        monitor = {"method": "rbc", "index": "t2", "gate_on_detection": False}
+        params = EbfParams(lower_sat=-0.0)
+        expected = oracle_monitor_ndjson(load_model(chunk_series["model"]), csv, monitor, params)
+        assert_same_stream(out, expected)
+        assert "-0.0" in out
+
+    def test_single_sensor_model(self, tmp_path):
+        d, m_train = 2, 1000
+        raw = make_raw(n=1, m=m_train + _RENDER_LINES + 1 + d, seed=43)
+        train = RawDataset(raw.samples[:m_train], raw.sensor_names)
+        model = fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(d)))
+        save_model(model, tmp_path / "model.json")
+        csv = tmp_path / "series.csv"
+        write_raw_csv(RawDataset(raw.samples[m_train:], raw.sensor_names), csv)
+        config = write_config(tmp_path)
+        out = monitor_stdout(config, tmp_path / "model.json", csv)
+        assert out.count('"raw_winner": 0, ') == _RENDER_LINES + 1
+        monitor = {"method": "rbc", "index": "t2", "gate_on_detection": False}
+        expected = oracle_monitor_ndjson(load_model(tmp_path / "model.json"), csv, monitor, EbfParams())
+        assert_same_stream(out, expected)

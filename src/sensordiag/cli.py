@@ -9,7 +9,6 @@ scripting: 0 success, 2 data error (bad CSV/model content), 3 config error
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -46,41 +45,109 @@ from .isolation import (
 )
 from .pca import fit_pca, load_model, save_model
 
-DEFAULT_CONFIG: dict = {
-    "sample_period_s": 0.1,
-    "variance_fraction": 0.98,
-    "alpha": 0.01,
-    "lag_depth": 10,
+_METHODS, _INDICES = ("cp", "rbc"), ("spe", "t2")
+
+
+def _real(value) -> bool:
+    """JSON number that converts to a finite float; ``bool`` is not a number."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _int(value, lo: int, hi: float = math.inf) -> bool:
+    """JSON integer in ``[lo, hi]``; ``bool`` is not an integer."""
+    return type(value) is int and lo <= value <= hi
+
+
+def _list_of(value, check) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(map(check, value))
+
+
+def _variant(item) -> bool:
+    return (
+        isinstance(item, dict)
+        and item.keys() == {"method", "index", "ebf"}
+        and item["method"] in _METHODS
+        and item["index"] in _INDICES
+        and type(item["ebf"]) is bool
+    )
+
+
+# Every config key as (default, check, what the value must be), nested as in
+# the file. The upper bounds cap what one config can make the CLI allocate:
+# n_sensors sizes simulate's dense (2n)^2 Kronecker Lyapunov solve, m_* the
+# simulated series and grid_points the sweep grid. lag_depth has no bound:
+# its cost scales with the input CSV, which no config bounds.
+_SCHEMA: dict = {
+    "sample_period_s": (0.1, lambda v: _real(v) and v > 0, "a positive number"),
+    "variance_fraction": (0.98, lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "alpha": (0.01, lambda v: _real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "lag_depth": (10, lambda v: _int(v, 0), "a non-negative integer"),
     "ebf": {
-        "reward": 0.01,
-        "penalty": -0.005,
-        "decision_threshold": 0.2,
-        "upper_sat": 1.0,
-        "lower_sat": 0.0,
+        "reward": (0.01, _real, "a number"),
+        "penalty": (-0.005, _real, "a number"),
+        "decision_threshold": (0.2, _real, "a number"),
+        "upper_sat": (1.0, _real, "a number"),
+        "lower_sat": (0.0, _real, "a number"),
     },
     "monitor": {
-        "method": "rbc",
-        "index": "t2",
-        "gate_on_detection": False,
+        "method": ("rbc", lambda v: v in _METHODS, "cp|rbc"),
+        "index": ("t2", lambda v: v in _INDICES, "spe|t2"),
+        "gate_on_detection": (False, lambda v: type(v) is bool, "a boolean"),
     },
     "sweep": {
-        "target_sensor": 0,
-        "grid_points": 100,
-        "max_amplitude": None,
-        "amplitudes": None,
-        "onset_k": None,
-        "variants": None,
+        "target_sensor": (0, lambda v: _int(v, 0), "a non-negative integer"),
+        "grid_points": (100, lambda v: _int(v, 1, 10_000), "an integer in [1, 10000]"),
+        "max_amplitude": (
+            None, lambda v: v is None or (_real(v) and v > 0), "null or a positive number"
+        ),
+        "amplitudes": (
+            None, lambda v: v is None or _list_of(v, _real), "null or a non-empty list of numbers"
+        ),
+        "onset_k": (None, lambda v: v is None or _int(v, 0), "null or a non-negative integer"),
+        "variants": (
+            None,
+            lambda v: v is None or _list_of(v, _variant),
+            'null or a non-empty list of {"method": cp|rbc, "index": spe|t2, "ebf": bool}',
+        ),
     },
     "simulate": {
-        "n_sensors": 8,
-        "m_train": 20000,
-        "m_validation": 5000,
-        "n_validation_runs": 4,
-        "seed": 1,
-        "structure_seed": 118,
-        "noise_std": 1.0,
+        "n_sensors": (8, lambda v: _int(v, 1, 32), "an integer in [1, 32]"),
+        "m_train": (20000, lambda v: _int(v, 1, 1_000_000), "an integer in [1, 1000000]"),
+        "m_validation": (5000, lambda v: _int(v, 1, 1_000_000), "an integer in [1, 1000000]"),
+        "n_validation_runs": (4, lambda v: _int(v, 1), "a positive integer"),
+        "seed": (1, lambda v: _int(v, 0), "a non-negative integer"),
+        "structure_seed": (118, lambda v: _int(v, 0), "a non-negative integer"),
+        "noise_std": (1.0, lambda v: _real(v) and v >= 0, "a non-negative number"),
     },
 }
+
+
+def _resolve(schema: dict, user: dict, prefix: str = "") -> dict:
+    """One walk over ``schema``: reject keys it lacks, fill its defaults and
+    check every value. User values are kept as given, never coerced."""
+    for key in user:
+        if key not in schema:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    cfg = {}
+    for key, spec in schema.items():
+        name = prefix + key
+        if isinstance(spec, dict):
+            section = user.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"config key '{name}' must be an object")
+            cfg[key] = _resolve(spec, section, name + ".")
+        else:
+            default, check, what = spec
+            cfg[key] = user.get(key, default)
+            if not check(cfg[key]):
+                raise ConfigError(f"{name} must be {what}")
+    return cfg
+
+
+DEFAULT_CONFIG: dict = _resolve(_SCHEMA, {})
 
 # Monitor lines formatted per stdout write: small enough that the rendered
 # text stays a small transient, large enough to amortise each call.
@@ -101,122 +168,10 @@ _DATA_ERRORS = (
 )
 
 
-def _merge_strict(defaults: dict, user: dict, prefix: str = "") -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in user.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{prefix}{key}' must be an object")
-            merged[key] = _merge_strict(defaults[key], value, f"{prefix}{key}.")
-        else:
-            merged[key] = value
-    return merged
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _is_int(value) -> bool:
-    """JSON integer; ``bool`` is rejected although Python counts it as int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """Finite JSON number, integer or float; ``bool`` is rejected."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
-def _validate_config(cfg: dict) -> None:
-    _require(
-        _is_real(cfg["sample_period_s"]) and cfg["sample_period_s"] > 0,
-        "sample_period_s must be a positive number",
-    )
-    _require(
-        _is_real(cfg["variance_fraction"]) and 0 < cfg["variance_fraction"] <= 1,
-        "variance_fraction must be a number in (0, 1]",
-    )
-    _require(
-        _is_real(cfg["alpha"]) and 0 < cfg["alpha"] < 1,
-        "alpha must be a number in (0, 1)",
-    )
-    _require(
-        _is_int(cfg["lag_depth"]) and cfg["lag_depth"] >= 0,
-        "lag_depth must be a non-negative integer",
-    )
-    for key, value in cfg["ebf"].items():
-        _require(_is_real(value), f"ebf.{key} must be a number")
-    try:
-        EbfParams(**cfg["ebf"])
-    except ValueError as exc:
-        raise ConfigError(f"ebf: {exc}") from exc
-    _require(cfg["monitor"]["method"] in ("cp", "rbc"), "monitor.method must be cp|rbc")
-    _require(cfg["monitor"]["index"] in ("spe", "t2"), "monitor.index must be spe|t2")
-    _require(
-        isinstance(cfg["monitor"]["gate_on_detection"], bool),
-        "monitor.gate_on_detection must be a boolean",
-    )
-    sw = cfg["sweep"]
-    _require(
-        _is_int(sw["target_sensor"]) and sw["target_sensor"] >= 0,
-        "sweep.target_sensor must be a non-negative integer",
-    )
-    _require(
-        _is_int(sw["grid_points"]) and sw["grid_points"] >= 1,
-        "sweep.grid_points must be a positive integer",
-    )
-    if sw["max_amplitude"] is not None:
-        _require(
-            _is_real(sw["max_amplitude"]) and sw["max_amplitude"] > 0,
-            "sweep.max_amplitude must be a positive number",
-        )
-    if sw["amplitudes"] is not None:
-        _require(
-            isinstance(sw["amplitudes"], list)
-            and len(sw["amplitudes"]) > 0
-            and all(_is_real(a) for a in sw["amplitudes"]),
-            "sweep.amplitudes must be a non-empty list of numbers",
-        )
-    if sw["onset_k"] is not None:
-        _require(
-            _is_int(sw["onset_k"]) and sw["onset_k"] >= 0,
-            "sweep.onset_k must be a non-negative integer",
-        )
-    if sw["variants"] is not None:
-        _require(isinstance(sw["variants"], list), "sweep.variants must be a list")
-        for item in sw["variants"]:
-            _require(
-                isinstance(item, dict)
-                and set(item) == {"method", "index", "ebf"}
-                and item["method"] in ("cp", "rbc")
-                and item["index"] in ("spe", "t2")
-                and isinstance(item["ebf"], bool),
-                "sweep.variants entries must be "
-                '{"method": cp|rbc, "index": spe|t2, "ebf": bool}',
-            )
-    sim = cfg["simulate"]
-    for key in ("n_sensors", "m_train", "m_validation", "n_validation_runs"):
-        _require(
-            _is_int(sim[key]) and sim[key] >= 1,
-            f"simulate.{key} must be a positive integer",
-        )
-    for key in ("seed", "structure_seed"):
-        _require(
-            _is_int(sim[key]) and sim[key] >= 0,
-            f"simulate.{key} must be a non-negative integer",
-        )
-    _require(
-        _is_real(sim["noise_std"]) and sim["noise_std"] >= 0,
-        "simulate.noise_std must be a non-negative number",
-    )
-
-
 def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the user file; unknown keys are rejected."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """Defaults overlaid with the user file; unknown keys and invalid values
+    are rejected."""
+    user = {}
     if path is not None:
         try:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -229,8 +184,11 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
-        cfg = _merge_strict(DEFAULT_CONFIG, user)
-    _validate_config(cfg)
+    cfg = _resolve(_SCHEMA, user)
+    try:
+        _ebf_params(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"ebf: {exc}") from exc
     return cfg
 
 

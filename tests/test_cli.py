@@ -615,6 +615,44 @@ class TestQuietConfigErrors:
         assert proc.stderr.startswith(f"config error: config file {config}: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("simulate", {"simulate": {"noise_std": 10**400}}, "simulate.noise_std"),
+            ("eval", {"sweep": {"amplitudes": [10**400]}}, "sweep.amplitudes"),
+            ("eval", {"sweep": {"max_amplitude": 10**400}}, "sweep.max_amplitude"),
+            ("eval", {"ebf": {"upper_sat": 10**400}}, "ebf.upper_sat"),
+            ("monitor", {"ebf": {"reward": 10**400, "upper_sat": 10**400}}, "ebf.reward"),
+            ("monitor", {"ebf": {"penalty": -(10**400), "lower_sat": -(10**400)}}, "ebf.penalty"),
+            ("eval", {"sample_period_s": 10**400}, "sample_period_s"),
+            ("eval", {"sweep": {"variants": []}}, "sweep.variants"),
+        ],
+        ids=[
+            "noise_std-huge",
+            "amplitudes-huge",
+            "max_amplitude-huge",
+            "upper_sat-huge",
+            "reward-huge",
+            "penalty-huge",
+            "sample_period_s-huge",
+            "variants-empty",
+        ],
+    )
+    def test_invalid_value_exit_3(self, tmp_path, workspace, command, overrides, key):
+        """Integers beyond float range and an empty variant list are rejected
+        by the config table, not by a traceback in the command."""
+        out = tmp_path / "out"
+        args = {
+            "simulate": ["simulate", "--out-dir", str(out)],
+            "eval": ["eval", str(workspace["model"]), *map(str, workspace["validation"]), "--report-out", str(out)],
+            "monitor": ["monitor", str(workspace["model"]), str(workspace["validation"][0])],
+        }[command]
+        proc = run_cli(["--config", write_config(tmp_path, overrides), *args], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: {key} must be ")
+        assert not list(tmp_path.glob("out*"))
+
 
 @pytest.fixture(scope="module")
 def chunk_series(tmp_path_factory):

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
@@ -22,6 +23,7 @@ from .dataset import LagSpec, apply_scaler, embed_lags, fit_scaler, read_raw_csv
 from .detection import _row_blocks, spe, t2
 from .ebf import EbfParams, EbfState, ebf_decide, ebf_step
 from .errors import (
+    AmplitudeOverflow,
     ConfigError,
     CorruptModelFile,
     CsvParseError,
@@ -78,8 +80,9 @@ def _variant(item) -> bool:
 # Every config key as (default, check, what the value must be), nested as in
 # the file. The upper bounds cap what one config can make the CLI allocate:
 # n_sensors sizes simulate's dense (2n)^2 Kronecker Lyapunov solve, m_* the
-# simulated series and grid_points the sweep grid. lag_depth has no bound:
-# its cost scales with the input CSV, which no config bounds.
+# simulated series, n_validation_runs the CSV files it writes and grid_points
+# the sweep grid. lag_depth has no bound: its cost scales with the input CSV,
+# which no config bounds.
 _SCHEMA: dict = {
     "sample_period_s": (0.1, lambda v: _real(v) and v > 0, "a positive number"),
     "variance_fraction": (0.98, lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
@@ -117,7 +120,7 @@ _SCHEMA: dict = {
         "n_sensors": (8, lambda v: _int(v, 1, 32), "an integer in [1, 32]"),
         "m_train": (20000, lambda v: _int(v, 1, 1_000_000), "an integer in [1, 1000000]"),
         "m_validation": (5000, lambda v: _int(v, 1, 1_000_000), "an integer in [1, 1000000]"),
-        "n_validation_runs": (4, lambda v: _int(v, 1), "a positive integer"),
+        "n_validation_runs": (4, lambda v: _int(v, 1, 1000), "an integer in [1, 1000]"),
         "seed": (1, lambda v: _int(v, 0), "a non-negative integer"),
         "structure_seed": (118, lambda v: _int(v, 0), "a non-negative integer"),
         "noise_std": (1.0, lambda v: _real(v) and v >= 0, "a non-negative number"),
@@ -213,9 +216,8 @@ def _config_variants(cfg: dict):
 
 def cmd_fit(args, cfg: dict) -> int:
     data = read_raw_csv(args.train_csv, cfg["sample_period_s"])
-    scaler = fit_scaler(data)
-    scaled = apply_scaler(data, scaler)
-    embedded = embed_lags(scaled, LagSpec(cfg["lag_depth"]))
+    embedded = embed_lags(apply_scaler(data, fit_scaler(data)), LagSpec(cfg["lag_depth"]))
+    del data  # fit_pca then runs beside the embedded matrix alone
     model = fit_pca(embedded, cfg["variance_fraction"], cfg["alpha"])
     save_model(model, args.model_out)
     explained = float(model.lambda_hat.sum()) / float(
@@ -252,15 +254,19 @@ def cmd_eval(args, cfg: dict) -> int:
             "every sweep amplitude is zero, so no cell would be evaluated; "
             "set sweep.max_amplitude or sweep.amplitudes"
         )
-    report = sweep(
-        model,
-        runs,
-        target,
-        grid,
-        _config_variants(cfg),
-        onset_k=sw["onset_k"],
-        ebf_params=_ebf_params(cfg),
-    )
+    try:
+        report = sweep(
+            model,
+            runs,
+            target,
+            grid,
+            _config_variants(cfg),
+            onset_k=sw["onset_k"],
+            ebf_params=_ebf_params(cfg),
+        )
+    except AmplitudeOverflow as exc:
+        key = "sweep.amplitudes" if sw["amplitudes"] is not None else "sweep.max_amplitude"
+        raise ConfigError(f"{key}: {exc}") from None
     report.metadata["config"] = cfg
     report.metadata["validation_files"] = [str(p) for p in args.validation_csvs]
     base = Path(args.report_out)
@@ -280,6 +286,7 @@ def cmd_monitor(args, cfg: dict) -> int:
     if data.sensor_names != model.sensor_names:
         raise DimensionMismatch("CSV sensor names do not match the model")
     scaled = apply_scaler(data, model.base_scaler)
+    del data  # the replay reads only the scaled copy
     tag = IsolationMethod(
         ContributionMethod(cfg["monitor"]["method"]),
         DetectionIndex(cfg["monitor"]["index"]),
@@ -396,11 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_):
+    """Show a warning as one ``warning: ...`` line, without source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.func(args, cfg)
+        with warnings.catch_warnings():  # restores showwarning on the way out
+            warnings.showwarning = _warning_line
+            return args.func(args, cfg)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

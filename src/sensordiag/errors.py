@@ -75,6 +75,11 @@ class NonFiniteResult(SensorDiagError):
     """A fitted statistic or a sweep result overflowed float64."""
 
 
+class AmplitudeOverflow(NonFiniteResult):
+    """Every estimate is finite, but the error relative to the sweep amplitude
+    overflows float64: the amplitude, not the data, is out of range."""
+
+
 class ConfigError(SensorDiagError):
     """Run configuration file contains unknown keys or invalid values."""
 

@@ -22,6 +22,7 @@ import numpy as np
 from .dataset import LagSpec, RawDataset, ScalerParams, apply_scaler, embed_lags
 from .ebf import EbfParams, filter_stream
 from .errors import (
+    AmplitudeOverflow,
     DimensionMismatch,
     EmptySample,
     IndexOutOfRange,
@@ -413,6 +414,10 @@ def sweep(
         If a score or a report number is not finite, as when an amplitude
         near the float64 limit overflows the scaled data. Each amplitude
         is checked as soon as it is scored.
+    AmplitudeOverflow
+        A ``NonFiniteResult`` raised instead when every estimate is finite
+        but the error relative to the amplitude is not, as at a subnormal
+        amplitude; the amplitude is at fault, not the data.
     """
     runs = list(runs)
     if not runs:
@@ -481,6 +486,11 @@ def sweep(
         recon = {idx: reconstruction_error(estimate_streams[idx], amplitude) for idx in indices}
         for idx, err in recon.items():
             if not math.isfinite(err):
+                if all(np.isfinite(e).all() for e in estimate_streams[idx]):
+                    raise AmplitudeOverflow(
+                        f"{idx.value} estimates at amplitude {amplitude!r} are all finite, "
+                        "but their errors relative to the amplitude overflow float64"
+                    )
                 raise NonFiniteResult(
                     f"{idx.value} estimates at amplitude {amplitude!r} score a "
                     "non-finite error; the faulty data overflow float64"

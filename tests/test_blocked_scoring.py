@@ -18,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli
-from sensordiag import contribution_matrix, spe, t2
+from sensordiag import contribution_matrix, load_model, spe, t2, write_raw_csv
 from sensordiag.detection import _BLOCK_ROWS, _row_blocks
 from sensordiag.errors import DegenerateDirection, NonFiniteResult
 from conftest import (
     assert_same_winners,
     make_model,
+    make_raw,
     whole_array_contributions,
     whole_array_spe,
     whole_array_t2,
@@ -159,6 +160,52 @@ class TestMemoryBound:
             code, peak = traced_peak(cli.main, argv)
         assert code == 0
         assert peak < embedded_nbytes
+
+
+def block_product_nbytes(model, rows: int) -> int:
+    """Bytes of the widest block product one ``spe`` or ``t2`` call over
+    ``rows`` rows holds at once."""
+    block = max(b.stop - b.start for b in _row_blocks(rows))
+    return 8 * block * max(model.l, model.n_e - model.l)
+
+
+class TestOneSeriesCopy:
+    """Each command holds one full-series copy of its input at its peak.
+    The slack above the arrays it must hold is half a raw series, so a
+    command that keeps the raw or the scaled series alive beside them fails."""
+
+    def test_fit_holds_only_the_embedded_matrix(self, tmp_path, capsys):
+        m, n, d = 20_000, 8, 10
+        raw = make_raw(n=n, m=m, seed=51)
+        write_raw_csv(raw, tmp_path / "train.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lag_depth": d}))
+        argv = ["--config", str(config), "fit", str(tmp_path / "train.csv"), "--model-out", str(tmp_path / "m.json")]
+        code, peak = traced_peak(cli.main, argv)
+        assert code == 0, capsys.readouterr().err
+        model = load_model(tmp_path / "m.json")
+        embedded_nbytes = (m - d) * model.n_e * 8
+        scores_nbytes = 2 * (m - d) * 8  # one index's scores and the sorted copy its limit takes
+        bound = embedded_nbytes + block_product_nbytes(model, m - d) + scores_nbytes
+        bound += raw.samples.nbytes // 2
+        assert peak < bound, (peak, bound)
+
+    def test_monitor_holds_only_the_scaled_series(self, tmp_path, monkeypatch, long_series):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({}))
+        argv = ["--config", str(config), "monitor", str(long_series["model"]), str(long_series["csv"])]
+        with open(tmp_path / "events.ndjson", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            code, peak = traced_peak(cli.main, argv)
+        assert code == 0
+        model = load_model(long_series["model"])
+        rows = long_series["rows"] - model.d
+        series_nbytes = long_series["rows"] * model.n * 8
+        block_nbytes = max(b.stop - b.start for b in _row_blocks(rows)) * model.n_e * 8
+        scores_nbytes = 3 * rows * 8  # SPE, T2 and the raw winner, kept for rendering
+        bound = series_nbytes + block_nbytes + block_product_nbytes(model, rows) + scores_nbytes
+        bound += series_nbytes // 2
+        assert peak < bound, (peak, bound)
 
 
 class TestNonFiniteScores:

@@ -654,6 +654,69 @@ class TestQuietConfigErrors:
         assert not list(tmp_path.glob("out*"))
 
 
+class TestTinyAmplitudes:
+    """An amplitude so near zero that the error relative to it overflows,
+    though every estimate is finite, is a config error naming the key that
+    built the grid. A real data overflow stays a data error (see
+    ``TestQuietDataErrors.test_eval_overflow``)."""
+
+    @pytest.mark.parametrize(
+        "sweep, key, amplitude",
+        [
+            ({"amplitudes": [5e-324, 1.0]}, "sweep.amplitudes", "5e-324"),
+            ({"max_amplitude": 1e-307, "grid_points": 4}, "sweep.max_amplitude", "-1e-307"),
+        ],
+        ids=["amplitudes", "max_amplitude"],
+    )
+    def test_exit_3_naming_the_key(self, tmp_path, workspace, sweep, key, amplitude):
+        report = tmp_path / "report"
+        args = ["eval", str(workspace["model"]), *map(str, workspace["validation"]), "--report-out", str(report)]
+        proc = run_cli(["--config", write_config(tmp_path, {"sweep": sweep}), *args], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"config error: {key}: ")
+        assert f"at amplitude {amplitude} " in proc.stderr
+        assert not list(tmp_path.glob("report.*"))
+
+    def test_small_normal_amplitude_runs(self, tmp_path, workspace, capsys):
+        report = tmp_path / "report"
+        config = write_config(tmp_path, {"sweep": {"amplitudes": [1e-300, 1.0]}})
+        code = main(["--config", config, "eval", str(workspace["model"]), *map(str, workspace["validation"]),
+                     "--report-out", str(report)])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "report.csv").exists()
+
+
+class TestFitWarnings:
+    """Rank-deficient or undersampled training data still fit, exit 0, and
+    print each warning as one ``warning:`` line, without a source path."""
+
+    def fit(self, tmp_path, workspace, rows):
+        train = tmp_path / "train.csv"
+        train.write_text("".join(rows))
+        model = tmp_path / "model.json"
+        proc = run_cli(["--config", workspace["config"], "fit", str(train), "--model-out", str(model)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"model written: {model}\n")
+        return proc.stderr.splitlines()
+
+    def test_duplicated_column(self, tmp_path, workspace):
+        lines = workspace["train"].read_text().splitlines()
+        rows = [f"{line},{'dup' if i == 0 else line.split(',')[0]}\n" for i, line in enumerate(lines)]
+        assert self.fit(tmp_path, workspace, rows) == [
+            "warning: trailing eigenvalues are numerically zero (rank-deficient data)"
+        ]
+
+    def test_undersampled(self, tmp_path, workspace):
+        # 10 rows at n=4, d=2: 8 embedded rows for 12 extended variables
+        rows = workspace["train"].read_text().splitlines(keepends=True)[:11]
+        assert self.fit(tmp_path, workspace, rows) == [
+            "warning: only 8 samples for 12 extended variables; covariance is "
+            "rank-deficient and trailing eigenvalues are meaningless",
+            "warning: trailing eigenvalues are numerically zero (rank-deficient data)",
+        ]
+
+
 @pytest.fixture(scope="module")
 def chunk_series(tmp_path_factory):
     """An n=4, d=2 model and a series three render chunks and eight rows long,

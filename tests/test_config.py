@@ -65,7 +65,7 @@ KEY_CASES = [
     ("simulate.n_sensors", [1, 18, 32], [0, -1, 33, BIG, 8.0, True, None, "8"]),
     ("simulate.m_train", [1, 20_000, 1_000_000], [0, 1_000_001, BIG, 2.0, True, None, "1"]),
     ("simulate.m_validation", [1, 5000, 1_000_000], [0, 1_000_001, BIG, 2.0, False, None, "1"]),
-    ("simulate.n_validation_runs", [1, 4], [0, -1, 1.0, True, None, "4"]),
+    ("simulate.n_validation_runs", [1, 4, 1000], [0, -1, 1001, BIG, 1.0, True, None, "4"]),
     ("simulate.seed", [0, 1, BIG], [-1, 1.0, True, None, "1"]),
     ("simulate.structure_seed", [0, 118, BIG], [-1, 118.0, False, None, "118"]),
     ("simulate.noise_std", [0, 0.0, 1, 1e300], [-5e-324, -1, True, None, "1", BIG, INF, NAN]),
@@ -281,7 +281,7 @@ FUZZ_KEYS = {
     "simulate.n_sensors": size(1, 3, 32),
     "simulate.m_train": size(1, 40, 1_000_000),
     "simulate.m_validation": size(1, 40, 1_000_000),
-    "simulate.n_validation_runs": size(1, 2),
+    "simulate.n_validation_runs": size(1, 2, 1000),
     "simulate.seed": (st.integers(min_value=0), JUNK),
     "simulate.structure_seed": (st.integers(min_value=0), JUNK),
     "simulate.noise_std": (st.floats(0.0, 10.0), JUNK),

@@ -31,6 +31,7 @@ from sensordiag import (
     sweep,
 )
 from sensordiag.errors import (
+    AmplitudeOverflow,
     DimensionMismatch,
     EmptySample,
     IndexOutOfRange,
@@ -364,6 +365,16 @@ class TestSweep:
         with pytest.raises(NonFiniteResult, match=r"^spe estimates at amplitude 5e-324 .*overflow float64"):
             sweep(small_model(), validation_runs(2), 0, [1.0, 5e-324, 2.0, 3.0], [(CP_SPE, False)], onset_k=200)
         assert len(calls) == 2 * 2  # two amplitudes of two runs, then no more
+
+    def test_finite_estimates_blame_the_amplitude(self, monkeypatch):
+        runs = validation_runs(2)
+        with pytest.raises(AmplitudeOverflow, match=r"^spe estimates at amplitude 5e-324 are all finite"):
+            sweep(small_model(), runs, 0, [1.0, 5e-324], [(CP_SPE, False)], onset_k=200)
+        # Estimates that are not finite themselves still blame the data.
+        monkeypatch.setattr(harness, "estimate_matrix", lambda model, z, s, idx: np.full(z.shape[0], np.inf))
+        with pytest.raises(NonFiniteResult, match="the faulty data overflow float64") as info:
+            sweep(small_model(), runs, 0, [5e-324], [(CP_SPE, False)], onset_k=200)
+        assert not isinstance(info.value, AmplitudeOverflow)
 
     def test_to_json_writes_no_non_json_number(self, tmp_path):
         row = ReportRow(1.0, "cp", "spe", False, 50.0, float("inf"))

@@ -18,19 +18,31 @@ TINY = {
     "ingest_fit": {"lag_depth": 2, "m_train": 600},
 }
 OUTPUTS = {
+    "eval_sweep": {"report.csv", "report.json"},
     "monitor_replay": {"events.ndjson"},
     "ingest_fit": {"data/train.csv", "data/validation_1.csv", "model.json", "fit_stdout.txt"},
 }
 
 
-def test_eval_sweep_traced_smoke(tmp_path):
-    details = run.run_benchmark("eval_sweep", 5, 0, True, sizes=TINY_EVAL, work=tmp_path)
+def assert_traced_smoke(tmp_path, workload, sizes):
+    """One untraced and one traced operation, both correct, whose outputs
+    have the same digests."""
+    details = run.run_benchmark(workload, 5, 0, True, sizes=sizes, work=tmp_path)
     result = details["result"]
     assert result["correct"] and result["failed"] == 0 and result["attempted"] == 2
     untraced = details["output_digests"]
-    assert set(untraced) == {"report.csv", "report.json"}
+    assert set(untraced) == OUTPUTS[workload]
     # The traced operation runs last, so the work directory holds its outputs.
     assert {name: run.sha256(tmp_path / name) for name in untraced} == untraced
+
+
+def test_eval_sweep_traced_smoke(tmp_path):
+    assert_traced_smoke(tmp_path, "eval_sweep", TINY_EVAL)
+
+
+@pytest.mark.parametrize("workload", sorted(TINY))
+def test_traced_smoke(tmp_path, workload):
+    assert_traced_smoke(tmp_path, workload, TINY[workload])
 
 
 @pytest.mark.parametrize("workload", sorted(TINY))

@@ -2,8 +2,10 @@
 
 All tunable parameters live in one JSON config file (``--config``); command
 arguments carry only file paths. Exit codes are a stable contract for
-scripting: 0 success, 2 data error (bad CSV/model content), 3 config error
-(unknown keys, invalid values, impossible lag depth).
+scripting: 0 success, 2 data error (bad CSV/model content, an unreadable or
+unwritable path), 3 config error (unknown keys, invalid values, impossible lag
+depth). Each code comes from the error type (``SensorDiagError.exit_code``),
+and every error is reported as one ``data error:`` or ``config error:`` line.
 """
 
 from __future__ import annotations
@@ -25,18 +27,9 @@ from .ebf import EbfParams, EbfState, ebf_decide, ebf_step
 from .errors import (
     AmplitudeOverflow,
     ConfigError,
-    CorruptModelFile,
-    CsvParseError,
     DimensionMismatch,
-    EmptySample,
     IndexOutOfRange,
-    LagTooLarge,
-    NonFiniteResult,
-    SchemaVersionMismatch,
     SensorDiagError,
-    UnstableConfig,
-    ZeroAmplitude,
-    ZeroVarianceColumn,
 )
 from .harness import DEFAULT_VARIANTS, default_sim_config, simulate, sweep
 from .isolation import (
@@ -157,19 +150,6 @@ DEFAULT_CONFIG: dict = _resolve(_SCHEMA, {})
 _RENDER_LINES = 1024
 _JSON_BOOL = ("false", "true")
 
-_CONFIG_ERRORS = (ConfigError, LagTooLarge, UnstableConfig, IndexOutOfRange)
-_DATA_ERRORS = (
-    CsvParseError,
-    ZeroVarianceColumn,
-    DimensionMismatch,
-    CorruptModelFile,
-    SchemaVersionMismatch,
-    EmptySample,
-    ZeroAmplitude,
-    NonFiniteResult,
-    FileNotFoundError,
-)
-
 
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the user file; unknown keys and invalid values
@@ -215,9 +195,15 @@ def _config_variants(cfg: dict):
 
 
 def cmd_fit(args, cfg: dict) -> int:
+    d = cfg["lag_depth"]
     data = read_raw_csv(args.train_csv, cfg["sample_period_s"])
-    embedded = embed_lags(apply_scaler(data, fit_scaler(data)), LagSpec(cfg["lag_depth"]))
+    embedded = embed_lags(apply_scaler(data, fit_scaler(data)), LagSpec(d))
     del data  # fit_pca then runs beside the embedded matrix alone
+    if embedded.m < 2:  # embed_lags leaves m - d rows; a covariance needs two
+        raise ConfigError(
+            f"{args.train_csv}: {embedded.m + d} rows too few for lag_depth {d} "
+            f"(need at least {d + 2})"
+        )
     model = fit_pca(embedded, cfg["variance_fraction"], cfg["alpha"])
     save_model(model, args.model_out)
     explained = float(model.lambda_hat.sum()) / float(
@@ -415,15 +401,11 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # restores showwarning on the way out
             warnings.showwarning = _warning_line
             return args.func(args, cfg)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except SensorDiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (SensorDiagError, OSError) as exc:
+        code = getattr(exc, "exit_code", 2)  # an unreadable or unwritable path is a data error
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one line per error
+        print(f"{'config' if code == 3 else 'data'} error: {message}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySample, NonFiniteResult, SingularLambda
+from .errors import DimensionMismatch, EmptySample, NonFiniteResult
 
 if TYPE_CHECKING:
     from .pca import PcaModel
@@ -96,10 +96,7 @@ def spe(model: "PcaModel", x: np.ndarray):
 def t2(model: "PcaModel", x: np.ndarray):
     """Hotelling statistic: eigenvalue-weighted squared principal scores."""
     rows = _rows(model, x)
-    if model.l == 0 or (model.lambda_hat <= 1e-12).any():
-        raise SingularLambda(
-            "a retained eigenvalue is numerically zero; T2 is undefined"
-        )
+    model._require_invertible_lambda()
     values = _squared_norms(rows, model.p_hat, "t2", np.sqrt(model.lambda_hat))
     return float(values[0]) if np.ndim(x) == 1 else values
 

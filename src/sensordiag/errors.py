@@ -2,7 +2,10 @@
 
 
 class SensorDiagError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. ``exit_code`` is the CLI exit
+    status it maps to: 2 for a data error, 3 for a config error."""
+
+    exit_code = 2
 
 
 class CsvParseError(SensorDiagError):
@@ -26,6 +29,8 @@ class DimensionMismatch(SensorDiagError):
 
 class LagTooLarge(SensorDiagError):
     """Lag depth d must be strictly smaller than the number of samples."""
+
+    exit_code = 3
 
 
 class EigendecompositionFailure(SensorDiagError):
@@ -54,6 +59,8 @@ class DegenerateDirection(SensorDiagError):
 class IndexOutOfRange(SensorDiagError):
     """A sensor or sample index is outside the valid range."""
 
+    exit_code = 3
+
 
 class SchemaVersionMismatch(SensorDiagError):
     """Model file was written with an unsupported schema version."""
@@ -65,6 +72,8 @@ class CorruptModelFile(SensorDiagError):
 
 class UnstableConfig(SensorDiagError):
     """The autoregressive generator parameters describe a non-stationary process."""
+
+    exit_code = 3
 
 
 class ZeroAmplitude(SensorDiagError):
@@ -82,6 +91,8 @@ class AmplitudeOverflow(NonFiniteResult):
 
 class ConfigError(SensorDiagError):
     """Run configuration file contains unknown keys or invalid values."""
+
+    exit_code = 3
 
 
 class DegenerateSpectrum(UserWarning):

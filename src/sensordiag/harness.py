@@ -109,12 +109,14 @@ class SimConfig:
         return _companion_radius(self.ar1, self.ar2)
 
 
-def _companion_radius(ar1: np.ndarray, ar2: np.ndarray) -> float:
+def _companion(ar1: np.ndarray, ar2: np.ndarray) -> np.ndarray:
+    """Companion matrix ``[[A1, A2], [I, 0]]`` of the VAR(2) state."""
     n = ar1.shape[0]
-    top = np.hstack([ar1, ar2])
-    bottom = np.hstack([np.eye(n), np.zeros((n, n))])
-    companion = np.vstack([top, bottom])
-    return float(np.max(np.abs(np.linalg.eigvals(companion))))
+    return np.vstack([np.hstack([ar1, ar2]), np.hstack([np.eye(n), np.zeros((n, n))])])
+
+
+def _companion_radius(ar1: np.ndarray, ar2: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(_companion(ar1, ar2)))))
 
 
 def _stationary_covariance(
@@ -123,9 +125,7 @@ def _stationary_covariance(
     """Stationary covariance of the VAR(2) state, from the companion-form
     discrete Lyapunov equation solved as a dense Kronecker linear system."""
     n = ar1.shape[0]
-    f = np.vstack(
-        [np.hstack([ar1, ar2]), np.hstack([np.eye(n), np.zeros((n, n))])]
-    )
+    f = _companion(ar1, ar2)
     q = np.zeros((2 * n, 2 * n))
     q[:n, :n] = noise_std**2 * np.eye(n)
     dim = 2 * n

@@ -29,6 +29,7 @@ from sensordiag import (
 )
 from sensordiag.cli import _RENDER_LINES, main
 from sensordiag.detection import _row_blocks
+from sensordiag.errors import ConfigError, IndexOutOfRange, LagTooLarge, SensorDiagError, UnstableConfig
 from conftest import MODEL_DEFECTS, make_raw, oracle_monitor_ndjson
 
 BASE_CONFIG = {
@@ -685,6 +686,114 @@ class TestTinyAmplitudes:
                      "--report-out", str(report)])
         assert code == 0, capsys.readouterr().err
         assert (tmp_path / "report.csv").exists()
+
+
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+def test_every_error_type_carries_a_contract_exit_code():
+    """The CLI takes its exit code from the error type, so a new type is
+    covered without a list to keep; only these four are config errors."""
+    types = {SensorDiagError, *all_subclasses(SensorDiagError)}
+    assert len(types) > 15
+    assert all(t.exit_code in (2, 3) for t in types)
+    config_types = {t for t in types if t.exit_code == 3}
+    assert config_types == {ConfigError, LagTooLarge, UnstableConfig, IndexOutOfRange}
+
+
+@pytest.fixture(scope="module")
+def full_variance_model(tmp_path_factory):
+    """An n=3, d=1 model fitted at variance_fraction 1.0: it has no residual
+    subspace, so no sensor direction can be reconstructed for spe."""
+    root = tmp_path_factory.mktemp("full_variance")
+    sim = {"n_sensors": 3, "n_validation_runs": 1, "seed": 5}
+    config = write_config(root, {"lag_depth": 1, "variance_fraction": 1.0, "simulate": sim})
+    assert main(["--config", config, "simulate", "--out-dir", str(root / "data")]) == 0
+    model = root / "model.json"
+    assert main(["--config", config, "fit", str(root / "data" / "train.csv"), "--model-out", str(model)]) == 0
+    return {"model": model, "validation": root / "data" / "validation_1.csv"}
+
+
+class TestOneLineErrors:
+    """Inputs that used to exit 1 with a traceback, or print a bare
+    ``error:`` line or a line broken in two, exit 2 or 3 with exactly one
+    ``data error:`` or ``config error:`` line."""
+
+    @pytest.mark.parametrize("command", ["fit", "eval", "monitor"])
+    def test_directory_as_input_csv(self, tmp_path, workspace, command):
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        args = {
+            "fit": ["fit", str(folder), "--model-out", str(tmp_path / "model.json")],
+            "eval": ["eval", str(workspace["model"]), str(folder), "--report-out", str(tmp_path / "report")],
+            "monitor": ["monitor", str(workspace["model"]), str(folder)],
+        }[command]
+        proc = run_cli(["--config", workspace["config"], *args], tmp_path)
+        assert_one_data_error(proc, f"Is a directory: '{folder}'")
+        assert not (tmp_path / "model.json").exists() and not list(tmp_path.glob("report.*"))
+
+    def test_directory_as_model_out(self, tmp_path, workspace):
+        folder = tmp_path / "model.json"
+        folder.mkdir()
+        args = ["fit", str(workspace["train"]), "--model-out", str(folder)]
+        proc = run_cli(["--config", workspace["config"], *args], tmp_path)
+        assert_one_data_error(proc, f"Is a directory: '{folder}'")
+
+    def test_file_as_simulate_out_dir(self, tmp_path, workspace):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        proc = run_cli(["--config", workspace["config"], "simulate", "--out-dir", str(out)], tmp_path)
+        assert_one_data_error(proc, f"File exists: '{out}'")
+        assert out.read_text() == "not a directory\n"
+
+    def test_monitor_degenerate_direction(self, tmp_path, full_variance_model):
+        config = write_config(tmp_path, {"lag_depth": 1, "monitor": {"method": "rbc", "index": "spe"}})
+        args = ["monitor", str(full_variance_model["model"]), str(full_variance_model["validation"])]
+        proc = run_cli(["--config", config, *args], tmp_path)
+        assert_one_data_error(proc, "data error: direction of sensor 0 is degenerate")
+
+    def test_eval_degenerate_direction(self, tmp_path, full_variance_model):
+        # the default grid of this model is all zero, so amplitudes are given
+        config = write_config(tmp_path, {"lag_depth": 1, "sweep": {"amplitudes": [1.0, -1.0]}})
+        report = tmp_path / "report"
+        args = ["eval", str(full_variance_model["model"]), str(full_variance_model["validation"])]
+        proc = run_cli(["--config", config, *args, "--report-out", str(report)], tmp_path)
+        assert_one_data_error(proc, "data error: direction of sensor 0 is degenerate")
+        assert not list(tmp_path.glob("report.*"))
+
+    def test_fit_on_too_few_rows_exit_3(self, tmp_path, workspace):
+        # one embedded row at lag_depth 1 has no covariance estimate
+        train = tmp_path / "train.csv"
+        train.write_text("a,b,c\n1.0,2.0,3.0\n2.0,3.5,5.0\n")
+        model = tmp_path / "model.json"
+        config = write_config(tmp_path, {"lag_depth": 1})
+        proc = run_cli(["--config", config, "fit", str(train), "--model-out", str(model)], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == f"config error: {train}: 2 rows too few for lag_depth 1 (need at least 3)\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [({"\n": 1}, "\\n"), ({"sweep": {"\n": 1}}, "sweep.\\n"), ({"\r": 1}, "\\r")],
+        ids=["top-level-newline", "sweep-newline", "top-level-return"],
+    )
+    def test_line_break_in_unknown_key_is_escaped(self, tmp_path, capsys, payload, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert main(["--config", str(config), "simulate", "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"config error: unknown config key '{key}'\n"
+
+    def test_line_break_in_sensor_name_is_escaped(self, tmp_path, workspace, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text('"a\nb",c\n1.0,2.0\n1.0,3.5\n1.0,5.0\n')
+        assert main(["--config", workspace["config"], "fit", str(train), "--model-out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: sensor 'a\\nb' has zero variance; a constant column cannot be standardized\n"
+        )
 
 
 class TestFitWarnings:

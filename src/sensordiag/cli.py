@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 import warnings
 from dataclasses import replace
@@ -409,6 +410,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # A closed stdout (``| head``) ends the command the way it ends ``cat``:
+    # killed by SIGPIPE, silently. main() leaves in-process callers' handlers alone.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -24,9 +24,11 @@ __all__ = ["IndexSample", "spe", "t2", "fit_threshold", "index_sample"]
 
 # Longest row block one scoring call sends through a gemm. Longer inputs are
 # scored block by block, so temporaries stay bounded by the block, not by the
-# series length. Inputs up to this size (5000-row validation runs among them)
-# stay one product, so their scores match an unblocked product at any shape.
-_BLOCK_ROWS = 8192
+# series length; at d=10 a block is embedded 11 times wider than its raw rows,
+# so it sets monitor's peak memory. Inputs up to this size, such as the sweep's
+# tail of any run up to 8192 rows, stay one product and so match an unblocked
+# product at any shape.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,9 @@ def _rows(model: "PcaModel", x: np.ndarray) -> np.ndarray:
 def _row_blocks(m: int) -> list[slice]:
     """``ceil(m / _BLOCK_ROWS)`` near-equal slices covering ``range(m)``.
 
-    At most ``_BLOCK_ROWS`` rows is one block, so a short input keeps a
-    single gemm; a longer one splits into blocks of at least
+    At most ``_BLOCK_ROWS`` rows is one block, so a short input, such as
+    the post-onset tail ``sweep`` scores for a default validation run,
+    keeps a single gemm; a longer one splits into blocks of at least
     ``_BLOCK_ROWS // 2`` rows each.
     """
     k = max(1, -(-m // _BLOCK_ROWS))

@@ -211,13 +211,24 @@ def simulate(config: SimConfig) -> RawDataset:
 
 
 def inject_fault(data: RawDataset, fault: FaultSpec) -> RawDataset:
-    """Add the fault bias to the target column from the onset row onward."""
+    """Add the fault bias to the target column from the onset row onward.
+
+    Raises ``NonFiniteResult`` if a biased value overflows float64.
+    """
     if fault.sensor >= data.n:
         raise IndexOutOfRange(f"sensor {fault.sensor} not in [0, {data.n})")
     if fault.onset_k >= data.m:
         raise IndexOutOfRange(f"onset {fault.onset_k} not in [0, {data.m})")
     samples = data.samples.copy()
-    samples[fault.onset_k :, fault.sensor] += fault.amplitude
+    biased = samples[fault.onset_k :, fault.sensor]
+    with np.errstate(over="ignore"):
+        biased += fault.amplitude
+    if not np.isfinite(biased).all():
+        raise NonFiniteResult(
+            f"step fault of amplitude {fault.amplitude!r} on sensor "
+            f"{data.sensor_names[fault.sensor]!r} from onset {fault.onset_k}: "
+            "the faulty data overflow float64"
+        )
     return RawDataset(
         samples=samples,
         sensor_names=data.sensor_names,
@@ -331,18 +342,18 @@ DEFAULT_VARIANTS: tuple[tuple[IsolationMethod, bool], ...] = (
 def _prepare_run(run: RawDataset, fault: FaultSpec, scaler: ScalerParams, d: int) -> np.ndarray:
     """Inject, standardize, lag-embed; return the post-onset evaluation rows.
 
-    Only the raw rows from ``onset - d`` on are prepared, the ones those
-    rows read. Injection and scaling act on each value alone and embedding
-    only copies, so the result is bit-identical to preparing the whole run
-    and dropping the leading rows.
+    The fault is injected into the whole run, so an overflow names the
+    onset in the run's own rows, but only the raw rows from ``onset - d``
+    on, the ones the evaluation rows read, are scaled and embedded.
+    Injection and scaling act on each value alone and embedding only
+    copies, so the result is bit-identical to preparing the whole run and
+    dropping the leading rows.
     """
-    if fault.onset_k >= run.m:
-        raise IndexOutOfRange(f"onset {fault.onset_k} not in [0, {run.m})")
+    faulty = inject_fault(run, fault)
     start = max(0, fault.onset_k - d)
     lo = min(start, run.m - 2)  # a dataset holds at least two rows
-    tail = replace(run, samples=run.samples[lo:])
-    faulty = inject_fault(tail, replace(fault, onset_k=fault.onset_k - lo))
-    return embed_lags(apply_scaler(faulty, scaler), LagSpec(d)).samples[start - lo :]
+    tail = replace(faulty, samples=faulty.samples[lo:])
+    return embed_lags(apply_scaler(tail, scaler), LagSpec(d)).samples[start - lo :]
 
 
 def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int):

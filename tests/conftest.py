@@ -88,6 +88,19 @@ def make_model(
     return fit_pca(make_scaled(n=n, m=m, seed=seed, d=d), variance_fraction, alpha)
 
 
+def assert_same_stream(out, expected):
+    """Equality of two line-based outputs, text or bytes, reported as the
+    first differing line; pytest's own diff of two long strings takes minutes."""
+    if out != expected:
+        got, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+        pairs = enumerate(zip(got, want))
+        first = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        pytest.fail(
+            f"{len(got)} lines vs {len(want)} expected; first difference at line {first}: "
+            f"{got[first : first + 1]!r} != {want[first : first + 1]!r}"
+        )
+
+
 def write_long_series(root: Path, d: int) -> dict:
     """Save an n=8 model of lag depth ``d`` and a monitor series two row
     blocks plus one row long, with a step fault on sensor 0 whose onset is the

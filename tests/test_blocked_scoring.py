@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli
+from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli, detection
 from sensordiag import contribution_matrix, load_model, spe, t2, write_raw_csv
 from sensordiag.detection import _BLOCK_ROWS, _row_blocks
 from sensordiag.errors import DegenerateDirection, NonFiniteResult
 from conftest import (
+    assert_same_stream,
     assert_same_winners,
     make_model,
     make_raw,
@@ -56,7 +57,9 @@ def random_rows(model, count, seed, scale=1.0):
 
 class TestRowBlocks:
     @pytest.mark.parametrize(
-        "m", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1, 49990]
+        "m",
+        [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1]
+        + [4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1, 49990],
     )
     def test_near_equal_cover(self, m):
         blocks = _row_blocks(m)
@@ -223,3 +226,67 @@ class TestNonFiniteScores:
         for tag in ALL_METHODS:
             with pytest.raises(NonFiniteResult, match=f"^{tag} scores overflow float64"):
                 contribution_matrix(model, rows, tag)
+
+
+class TestOneProductOracle:
+    """At the default n=8, d=10 shape, each command's output at the module
+    block size equals its output with every input scored in one product."""
+
+    def test_default_sweep_tail_is_one_block(self):
+        # sweep scores a run from its default onset m // 2 on
+        assert cli.DEFAULT_CONFIG["sweep"]["onset_k"] is None
+        m = cli.DEFAULT_CONFIG["simulate"]["m_validation"]
+        assert m - m // 2 <= _BLOCK_ROWS
+
+    @staticmethod
+    def both_ways(monkeypatch, run):
+        """``run()`` at the module block size, then with one block."""
+        blocked = run()
+        monkeypatch.setattr(detection, "_BLOCK_ROWS", 10**9)
+        return blocked, run()
+
+    def test_eval_report_from_onset_zero(self, tmp_path, monkeypatch, capsys):
+        # From onset 0 a 5000-row run scores 4990 rows, more than one block.
+        config = tmp_path / "config.json"
+        sim = {"m_train": 3000, "n_validation_runs": 1}
+        config.write_text(json.dumps({"simulate": sim, "sweep": {"onset_k": 0, "grid_points": 6}}))
+        data = tmp_path / "data"
+        assert cli.main(["--config", str(config), "simulate", "--out-dir", str(data)]) == 0
+        model = tmp_path / "model.json"
+        assert cli.main(["--config", str(config), "fit", str(data / "train.csv"), "--model-out", str(model)]) == 0
+        assert len(_row_blocks(5000 - 10)) > 1
+
+        def run():
+            report = tmp_path / "report"
+            argv = ["--config", str(config), "eval", str(model), str(data / "validation_1.csv")]
+            assert cli.main([*argv, "--report-out", str(report)]) == 0
+            return b"".join(report.with_suffix(ext).read_bytes() for ext in (".csv", ".json"))
+
+        blocked, whole = self.both_ways(monkeypatch, run)
+        assert_same_stream(blocked, whole)
+
+    def test_monitor_ndjson(self, long_series, monkeypatch, capsys):
+        # past one 8192-row block too, so the series takes several blocks at either size
+        assert long_series["rows"] > 8193 and long_series["d"] == 10
+        assert len(_row_blocks(long_series["rows"] - long_series["d"])) > 1
+
+        def run():
+            capsys.readouterr()
+            assert cli.main(["monitor", str(long_series["model"]), str(long_series["csv"])]) == 0
+            return capsys.readouterr().out
+
+        blocked, whole = self.both_ways(monkeypatch, run)
+        assert_same_stream(blocked, whole)
+
+    def test_fit_model_file(self, tmp_path, monkeypatch, capsys):
+        rows = 9000
+        write_raw_csv(make_raw(n=8, m=rows, seed=53), tmp_path / "train.csv")
+        assert len(_row_blocks(rows - 10)) > 1
+
+        def run():
+            model = tmp_path / "model.json"
+            assert cli.main(["fit", str(tmp_path / "train.csv"), "--model-out", str(model)]) == 0
+            return model.read_bytes()
+
+        blocked, whole = self.both_ways(monkeypatch, run)
+        assert_same_stream(blocked, whole)

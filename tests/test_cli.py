@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from sensordiag import (
 from sensordiag.cli import _RENDER_LINES, main
 from sensordiag.detection import _row_blocks
 from sensordiag.errors import ConfigError, IndexOutOfRange, LagTooLarge, SensorDiagError, UnstableConfig
-from conftest import MODEL_DEFECTS, make_raw, oracle_monitor_ndjson
+from conftest import MODEL_DEFECTS, assert_same_stream, make_raw, oracle_monitor_ndjson
 
 BASE_CONFIG = {
     "lag_depth": 2,
@@ -56,19 +57,6 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
-
-
-def assert_same_stream(out, expected):
-    """Byte equality of two NDJSON streams, reported as the first differing
-    line; pytest's own diff of two long strings takes minutes."""
-    if out != expected:
-        got, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
-        pairs = enumerate(zip(got, want))
-        first = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
-        pytest.fail(
-            f"{len(got)} lines vs {len(want)} expected; first difference at line {first}: "
-            f"{got[first : first + 1]!r} != {want[first : first + 1]!r}"
-        )
 
 
 @pytest.fixture(scope="module")
@@ -591,6 +579,48 @@ class TestQuietDataErrors:
         write_raw_csv(type(data)(samples, data.sensor_names), bad)
         proc = run_cli(["monitor", str(long_series["model"]), str(bad)], tmp_path)
         assert_one_data_error(proc, "overflow float64")
+
+
+    def test_eval_injection_overflow(self, tmp_path):
+        # 1.7e308 cells plus a 1e308 step overflow float64 in the injected data
+        sim = {"n_sensors": 3, "n_validation_runs": 1}
+        config = write_config(tmp_path, {"lag_depth": 1, "simulate": sim, "sweep": {"amplitudes": [1e308]}})
+        data = tmp_path / "data"
+        assert main(["--config", config, "simulate", "--out-dir", str(data)]) == 0
+        model = tmp_path / "model.json"
+        assert main(["--config", config, "fit", str(data / "train.csv"), "--model-out", str(model)]) == 0
+        run = read_raw_csv(data / "validation_1.csv")
+        samples = np.array(run.samples)
+        samples[60:, 0] = 1.7e308
+        bad = tmp_path / "huge.csv"
+        write_raw_csv(type(run)(samples, run.sensor_names), bad)
+        report = tmp_path / "report"
+        proc = run_cli(["--config", config, "eval", str(model), str(bad), "--report-out", str(report)], tmp_path)
+        assert_one_data_error(
+            proc, "step fault of amplitude 1e+308 on sensor 's1' from onset 200: the faulty data overflow float64"
+        )
+        assert not list(tmp_path.glob("report.*"))
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_command_like_cat(tmp_path, long_series):
+    # ``monitor ... | head -c 100``: killed by SIGPIPE, with nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    args = ["-m", "sensordiag", "monitor", str(long_series["model"]), str(long_series["csv"])]
+    proc = subprocess.Popen(
+        [sys.executable, *args], cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()  # no-op once it has exited
+        proc.wait()
+        err = proc.stderr.read()
+        proc.stderr.close()
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
 
 
 class TestQuietConfigErrors:

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -175,6 +176,19 @@ class TestInjectFault:
             inject_fault(data, FaultSpec(sensor=99, amplitude=1.0, onset_k=0))
         with pytest.raises(IndexOutOfRange):
             inject_fault(data, FaultSpec(sensor=0, amplitude=1.0, onset_k=data.m))
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning comes first
+    def test_overflow_raises_naming_the_fault(self):
+        data = validation_runs(1)[0]
+        samples = data.samples.copy()
+        samples[60:, 0] = 1.7e308
+        huge = RawDataset(samples, data.sensor_names)
+        message = (
+            f"step fault of amplitude 1e+308 on sensor {data.sensor_names[0]!r} "
+            "from onset 100: the faulty data overflow float64"
+        )
+        with pytest.raises(NonFiniteResult, match=f"^{re.escape(message)}$"):
+            inject_fault(huge, FaultSpec(sensor=0, amplitude=1e308, onset_k=100))
 
 
 class TestMetrics:

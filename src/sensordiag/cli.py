@@ -195,6 +195,23 @@ def _config_variants(cfg: dict):
     ]
 
 
+def _read_for_model(path, model, cfg: dict):
+    """Read a CSV for ``model`` to score: the model's sensor names, in order,
+    and more rows than its lag depth."""
+    data = read_raw_csv(path, cfg["sample_period_s"])
+    if data.sensor_names != model.sensor_names:
+        raise DimensionMismatch(
+            f"{path}: sensor names {data.sensor_names!r} do not match "
+            f"the model's {model.sensor_names!r}"
+        )
+    if data.m <= model.d:
+        raise DimensionMismatch(
+            f"{path}: {data.m} rows too few for the model's lag depth {model.d} "
+            f"(need at least {model.d + 1})"
+        )
+    return data
+
+
 def cmd_fit(args, cfg: dict) -> int:
     d = cfg["lag_depth"]
     data = read_raw_csv(args.train_csv, cfg["sample_period_s"])
@@ -222,7 +239,7 @@ def cmd_eval(args, cfg: dict) -> int:
     if not args.validation_csvs:
         raise ConfigError("at least one validation CSV is required")
     model = load_model(args.model)
-    runs = [read_raw_csv(p, cfg["sample_period_s"]) for p in args.validation_csvs]
+    runs = [_read_for_model(p, model, cfg) for p in args.validation_csvs]
     sw = cfg["sweep"]
     target = sw["target_sensor"]
     if not 0 <= target < model.n:
@@ -269,11 +286,8 @@ def cmd_eval(args, cfg: dict) -> int:
 @np.errstate(over="ignore", invalid="ignore")  # scoring rejects an overflow
 def cmd_monitor(args, cfg: dict) -> int:
     model = load_model(args.csv_model)
-    data = read_raw_csv(args.csv, cfg["sample_period_s"])
-    if data.sensor_names != model.sensor_names:
-        raise DimensionMismatch("CSV sensor names do not match the model")
-    scaled = apply_scaler(data, model.base_scaler)
-    del data  # the replay reads only the scaled copy
+    # The raw copy is freed once scaled; the replay reads only the scaled one.
+    scaled = apply_scaler(_read_for_model(args.csv, model, cfg), model.base_scaler)
     tag = IsolationMethod(
         ContributionMethod(cfg["monitor"]["method"]),
         DetectionIndex(cfg["monitor"]["index"]),
@@ -285,7 +299,7 @@ def cmd_monitor(args, cfg: dict) -> int:
     # Embed and score one row block at a time, so memory is bounded by the
     # block; embedded row e reads scaled rows e .. e + d. Every block is
     # scored before the first line is written.
-    for blk in _row_blocks(max(scaled.m - d, 0)):
+    for blk in _row_blocks(scaled.m - d):
         window = replace(scaled, samples=scaled.samples[blk.start : blk.stop + d])
         z = embed_lags(window, LagSpec(d)).samples
         spe_parts.append(spe(model, z))

@@ -155,10 +155,6 @@ class ScaledDataset:
         return self.samples.shape[0]
 
     @property
-    def n_columns(self) -> int:
-        return self.samples.shape[1]
-
-    @property
     def n_base(self) -> int:
         """Physical sensor count, before lag extension."""
         return self.samples.shape[1] // (self.lag_depth + 1)

@@ -24,7 +24,7 @@ class ZeroVarianceColumn(SensorDiagError):
 
 
 class DimensionMismatch(SensorDiagError):
-    """Vector/matrix width does not match what the model or scaler expects."""
+    """Data shape or sensor names do not match what the model or scaler expects."""
 
 
 class LagTooLarge(SensorDiagError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -313,18 +313,7 @@ class EvalReport:
     def to_json(self, path: str | Path) -> None:
         payload = {
             "metadata": self.metadata,
-            "rows": [
-                {
-                    "amplitude": row.amplitude,
-                    "method": row.method,
-                    "index": row.index,
-                    "ebf": row.ebf,
-                    "isolation_pct": row.isolation_pct,
-                    "recon_err_pct": row.recon_err_pct,
-                    "skipped": row.skipped,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
         text = json.dumps(payload, indent=1, allow_nan=False)  # NaN and Infinity are not JSON
         Path(path).write_text(text + "\n", encoding="utf-8")
@@ -455,9 +444,12 @@ def sweep(
     # order, kept in the smallest dtype that holds a sensor index.
     ebf_streams: dict = {tag: [] for tag, use_ebf in variants if use_ebf}
     stream_dtype = np.min_scalar_type(-model.n)
-    pending = []  # (row position, tag, index of the row's first stream)
-    rows: list[ReportRow] = []
-    nonzero = [a for a in grid if a != 0.0]
+    std_target = float(model.scaler.std[target])
+    # Grid positions of the scored amplitudes; a zero amplitude is skipped.
+    scored = [i for i, a in enumerate(grid) if a != 0.0]
+    nonzero = [grid[i] for i in scored]
+    iso: dict = {}  # (grid position, tag, use_ebf) -> isolation percentage
+    recon: dict = {}  # (grid position, index) -> reconstruction error
     # One generator per run, advanced in lockstep: amplitude outer, run inner.
     faulty = zip(
         *(
@@ -465,37 +457,22 @@ def sweep(
             for run in runs
         )
     )
-    for amplitude in grid:
-        if amplitude == 0.0:
-            for tag, use_ebf in variants:
-                rows.append(
-                    ReportRow(
-                        amplitude=0.0,
-                        method=tag.method.value,
-                        index=tag.index.value,
-                        ebf=use_ebf,
-                        isolation_pct=None,
-                        recon_err_pct=None,
-                        skipped=True,
-                    )
-                )
-            continue
+    for i, amplitude, zs in zip(scored, nonzero, faulty):
         winner_streams: dict = {tag: [] for tag in tags}
         estimate_streams: dict = {idx: [] for idx in indices}
-        for z in next(faulty):
+        for z in zs:
             for tag in tags:
-                scores = contribution_matrix(model, z, tag)
-                winner_streams[tag].append(np.argmax(scores, axis=1))
+                winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
+                winner_streams[tag].append(winners)
                 if tag in ebf_streams:
-                    ebf_streams[tag].append(winner_streams[tag][-1].astype(stream_dtype))
-            std_target = float(model.scaler.std[target])
+                    ebf_streams[tag].append(winners.astype(stream_dtype))
             for idx in indices:
                 estimate_streams[idx].append(
                     estimate_matrix(model, z, target, idx) * std_target
                 )
         # Percentages count integer winners, so only the errors can overflow.
-        recon = {idx: reconstruction_error(estimate_streams[idx], amplitude) for idx in indices}
-        for idx, err in recon.items():
+        for idx in indices:
+            err = reconstruction_error(estimate_streams[idx], amplitude)
             if not math.isfinite(err):
                 if all(np.isfinite(e).all() for e in estimate_streams[idx]):
                     raise AmplitudeOverflow(
@@ -506,38 +483,35 @@ def sweep(
                     f"{idx.value} estimates at amplitude {amplitude!r} score a "
                     "non-finite error; the faulty data overflow float64"
                 )
-        for tag, use_ebf in variants:
-            if use_ebf:
-                pending.append((len(rows), tag, len(ebf_streams[tag]) - len(runs)))
-            rows.append(
-                ReportRow(
-                    amplitude=amplitude,
-                    method=tag.method.value,
-                    index=tag.index.value,
-                    ebf=use_ebf,
-                    isolation_pct=None
-                    if use_ebf
-                    else isolation_percentage(winner_streams[tag], target),
-                    recon_err_pct=recon[tag.index],
-                )
-            )
+            recon[i, idx] = err
+        for tag in tags:
+            iso[i, tag, False] = isolation_percentage(winner_streams[tag], target)
     # The filter is causal, so right-padding a shorter stream cannot change
     # its own declarations; each result is cut back to its stream's length.
-    decided: dict = {}
     for tag, streams in ebf_streams.items():
         lengths = [w.size for w in streams]
         batch = np.zeros((len(streams), max(lengths, default=0)), dtype=stream_dtype)
-        for i, w in enumerate(streams):
-            batch[i, : w.size] = w
+        for k, w in enumerate(streams):
+            batch[k, : w.size] = w
         out = filter_stream(batch, model.n, ebf_params)
-        decided[tag] = [out[i, :size] for i, size in enumerate(lengths)]
-    for pos, tag, start in pending:
-        rows[pos] = replace(
-            rows[pos],
-            isolation_pct=isolation_percentage(
-                decided[tag][start : start + len(runs)], target
-            ),
+        decided = [out[k, :size] for k, size in enumerate(lengths)]
+        # With R = len(runs), streams j*R .. j*R+R-1 are the j-th scored amplitude.
+        for j, i in enumerate(scored):
+            group = decided[j * len(runs) : (j + 1) * len(runs)]
+            iso[i, tag, True] = isolation_percentage(group, target)
+    rows = [
+        ReportRow(
+            amplitude=amplitude or 0.0,  # a skipped -0.0 reads 0.0
+            method=tag.method.value,
+            index=tag.index.value,
+            ebf=use_ebf,
+            isolation_pct=iso.get((i, tag, use_ebf)),
+            recon_err_pct=recon.get((i, tag.index)),
+            skipped=amplitude == 0.0,
         )
+        for i, amplitude in enumerate(grid)
+        for tag, use_ebf in variants
+    ]
     metadata = {
         "model_digest": model_digest(model),
         "target_sensor": target,
@@ -548,12 +522,6 @@ def sweep(
             {"method": tag.method.value, "index": tag.index.value, "ebf": use_ebf}
             for tag, use_ebf in variants
         ],
-        "ebf_params": {
-            "reward": ebf_params.reward,
-            "penalty": ebf_params.penalty,
-            "decision_threshold": ebf_params.decision_threshold,
-            "upper_sat": ebf_params.upper_sat,
-            "lower_sat": ebf_params.lower_sat,
-        },
+        "ebf_params": asdict(ebf_params),
     }
     return EvalReport(rows=rows, metadata=metadata)

@@ -252,15 +252,36 @@ class TestEval:
         assert payload["metadata"]["config"]["lag_depth"] == 2
         assert len(payload["rows"]) == 20
 
-    def test_mismatched_sensor_names_exit_2(self, tmp_path, workspace):
+    def eval_renamed(self, tmp_path, workspace, capsys, names):
+        """``eval`` over a good CSV and then one renamed to ``names``: the
+        bad file comes second, so the error line must say which one it is."""
         data = read_raw_csv(workspace["validation"][0])
-        renamed = type(data)(data.samples, ("a", "b", "c", "d"))
         bad = tmp_path / "renamed.csv"
-        write_raw_csv(renamed, bad)
+        write_raw_csv(type(data)(data.samples, names), bad)
+        capsys.readouterr()
         code = main(
-            ["--config", workspace["config"], "eval", str(workspace["model"]), str(bad)]
+            ["--config", workspace["config"], "eval", str(workspace["model"]),
+             str(workspace["validation"][0]), str(bad), "--report-out", str(tmp_path / "report")]
         )
         assert code == 2
+        assert not list(tmp_path.glob("report.*"))
+        return bad, capsys.readouterr().err
+
+    def test_mismatched_sensor_names_exit_2(self, tmp_path, workspace, capsys):
+        bad, err = self.eval_renamed(tmp_path, workspace, capsys, ("a", "b", "c", "d"))
+        assert err == (
+            f"data error: {bad}: sensor names ('a', 'b', 'c', 'd') do not match "
+            "the model's ('s1', 's2', 's3', 's4')\n"
+        )
+
+    def test_utf8_bom_header_exit_2(self, tmp_path, workspace, capsys):
+        # an Excel export starts with a byte order mark, read into the first name
+        bad, err = self.eval_renamed(tmp_path, workspace, capsys, ("\ufeffs1", "s2", "s3", "s4"))
+        assert err == (
+            f"data error: {bad}: sensor names ('\\ufeffs1', 's2', 's3', 's4') do not match "
+            "the model's ('s1', 's2', 's3', 's4')\n"
+        )
+        assert bad.read_bytes().startswith(b"\xef\xbb\xbfs1,")
 
     def test_missing_model_exit_2(self, tmp_path, workspace):
         code = main(
@@ -372,14 +393,20 @@ class TestMonitor:
         )
         assert code == 2
 
-    def test_name_mismatch_exit_2(self, tmp_path, workspace):
+    def test_name_mismatch_exit_2(self, tmp_path, workspace, capsys):
         data = read_raw_csv(workspace["validation"][0])
         bad = tmp_path / "renamed.csv"
         write_raw_csv(type(data)(data.samples, ("w", "x", "y", "z")), bad)
+        capsys.readouterr()
         code = main(
             ["--config", workspace["config"], "monitor", str(workspace["model"]), str(bad)]
         )
         assert code == 2
+        assert capsys.readouterr() == (
+            "",
+            f"data error: {bad}: sensor names ('w', 'x', 'y', 'z') do not match "
+            "the model's ('s1', 's2', 's3', 's4')\n",
+        )
 
     @pytest.mark.parametrize(
         "key, value", [("spe_limit", float("nan")), ("n", "8")], ids=["nan_spe_limit", "string_n"]
@@ -805,6 +832,28 @@ class TestOneLineErrors:
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr == f"config error: {train}: 2 rows too few for lag_depth 1 (need at least 3)\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "monitor"])
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_series_within_model_lag_depth_exit_2(self, tmp_path, command, rows):
+        # the model's lag depth, not the config's lag_depth, sets the bound
+        train = make_raw(3, 400, seed=5)
+        model = tmp_path / "m3.json"
+        save_model(fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(3))), model)
+        short = tmp_path / "short.csv"
+        write_raw_csv(RawDataset(train.samples[:rows], train.sensor_names), short)
+        args = {
+            "eval": ["eval", str(model), str(short), "--report-out", str(tmp_path / "report")],
+            "monitor": ["monitor", str(model), str(short)],
+        }[command]
+        config = write_config(tmp_path, {"lag_depth": 1, "sweep": {"amplitudes": [1.0], "onset_k": None}})
+        proc = run_cli(["--config", config, *args], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"data error: {short}: {rows} rows too few for the model's lag depth 3 (need at least 4)\n"
+        )
+        assert not list(tmp_path.glob("report.*"))
 
     @pytest.mark.parametrize(
         "payload, key",

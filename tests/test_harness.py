@@ -1,3 +1,5 @@
+import json
+import math
 import re
 from functools import lru_cache
 
@@ -300,8 +302,12 @@ class TestSweep:
         lengths = (260, 400, 330)
         runs = [simulate(small_config(seed=300 + j, m=m)) for j, m in enumerate(lengths)]
         res = model.residual_std(0)
-        grid = [2.0 * res, 0.0, -4.0 * res, 0.5 * res]
-        variants = [(RBC_T2, True), (CP_SPE, False), (RBC_T2, False), (CP_SPE, True)]
+        # -0.0 is skipped like 0.0; a repeated amplitude is scored again
+        grid = [2.0 * res, 0.0, -4.0 * res, -0.0, 0.5 * res, -4.0 * res]
+        # CP_T2 is filtered only; (RBC_T2, True) is listed twice
+        variants = [
+            (RBC_T2, True), (CP_SPE, False), (RBC_T2, False), (CP_SPE, True), (CP_T2, True), (RBC_T2, True)
+        ]
         params = EbfParams()
         rep = sweep(model, runs, 0, grid, variants, onset_k=onset_k, ebf_params=params)
         rows = iter(rep.rows)
@@ -313,8 +319,10 @@ class TestSweep:
                     amplitude, tag.method.value, tag.index.value, use_ebf
                 )
                 if amplitude == 0.0:
-                    assert row.skipped
+                    assert row.skipped and math.copysign(1.0, row.amplitude) == 1.0
+                    assert row.isolation_pct is None and row.recon_err_pct is None
                     continue
+                assert not row.skipped
                 decided = []
                 for run in runs:
                     onset = run.m // 2 if onset_k is None else onset_k
@@ -355,7 +363,10 @@ class TestSweep:
         rep.to_json(tmp_path / "report.json")
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "amplitude,method,index,ebf,isolation_pct,recon_err_pct"
-        assert (tmp_path / "report.json").stat().st_size > 0
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert list(rows[0]) == [
+            "amplitude", "method", "index", "ebf", "isolation_pct", "recon_err_pct", "skipped"
+        ]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_report_raises(self):

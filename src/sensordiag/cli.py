@@ -246,6 +246,11 @@ def cmd_eval(args, cfg: dict) -> int:
         raise IndexOutOfRange(
             f"sweep.target_sensor {target} not in [0, {model.n})"
         )
+    onset = sw["onset_k"]
+    # Checked up front: the sweep scores each run in full before it reaches the next.
+    for path, run in zip(args.validation_csvs, runs):
+        if onset is not None and onset >= run.m:
+            raise IndexOutOfRange(f"sweep.onset_k {onset} not in [0, {run.m}) for {path}")
     if sw["amplitudes"] is not None:
         grid = [float(a) for a in sw["amplitudes"]]
     else:
@@ -265,7 +270,7 @@ def cmd_eval(args, cfg: dict) -> int:
             target,
             grid,
             _config_variants(cfg),
-            onset_k=sw["onset_k"],
+            onset_k=onset,
             ebf_params=_ebf_params(cfg),
         )
     except AmplitudeOverflow as exc:

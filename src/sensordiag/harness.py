@@ -27,6 +27,7 @@ from .errors import (
     EmptySample,
     IndexOutOfRange,
     NonFiniteResult,
+    SensorDiagError,
     UnstableConfig,
     ZeroAmplitude,
 )
@@ -236,6 +237,33 @@ def inject_fault(data: RawDataset, fault: FaultSpec) -> RawDataset:
     )
 
 
+def _target_hits(winners, target: int) -> tuple[int, int]:
+    """Samples of one winner stream attributed to the target, and its length."""
+    arr = np.asarray(winners)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"winners must be integers, got dtype {arr.dtype}")
+    return int((arr == target).sum()), arr.size
+
+
+def _error_sum(estimates, amplitude: float) -> tuple[float, int]:
+    """Summed absolute relative error of one run's estimates, and their count."""
+    arr = np.asarray(estimates, dtype=float)
+    return float(np.abs((arr - amplitude) / amplitude).sum()), arr.size
+
+
+def _pool(parts, what: str) -> float:
+    """``100 * sum / count`` over per-run ``(sum, count)`` parts, each added
+    in run order."""
+    total = 0
+    acc = 0
+    for part, count in parts:
+        acc += part
+        total += count
+    if total == 0:
+        raise EmptySample(f"no {what} to score")
+    return 100.0 * acc / total
+
+
 def isolation_percentage(winner_runs, target: int) -> float:
     """Pooled percentage of post-onset samples attributed to the target.
 
@@ -244,32 +272,14 @@ def isolation_percentage(winner_runs, target: int) -> float:
     Winners must be integer sensor indices; float or bool runs raise
     ``ValueError`` rather than being truncated.
     """
-    total = 0
-    correct = 0
-    for run in winner_runs:
-        arr = np.asarray(run)
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"winners must be integers, got dtype {arr.dtype}")
-        total += arr.size
-        correct += int((arr == target).sum())
-    if total == 0:
-        raise EmptySample("no post-onset samples to score")
-    return 100.0 * correct / total
+    return _pool((_target_hits(run, target) for run in winner_runs), "post-onset samples")
 
 
 def reconstruction_error(estimate_runs, amplitude: float) -> float:
     """Mean absolute relative amplitude error, in percent, pooled over runs."""
     if amplitude == 0:
         raise ZeroAmplitude("relative error is undefined at zero amplitude")
-    total = 0
-    err = 0.0
-    for run in estimate_runs:
-        arr = np.asarray(run, dtype=float)
-        total += arr.size
-        err += float(np.abs((arr - amplitude) / amplitude).sum())
-    if total == 0:
-        raise EmptySample("no estimates to score")
-    return 100.0 * err / total
+    return _pool((_error_sum(run, amplitude) for run in estimate_runs), "estimates")
 
 
 @dataclass(frozen=True)
@@ -350,8 +360,9 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
     for each amplitude in turn.
 
     Every amplitude is yielded in one matrix, overwritten in place by the
-    next, so no caller may keep it. The first amplitude prepares it from
-    every column of the run. A step on
+    next, so no caller may keep it; ``sweep`` uses up one run's generator
+    before it makes the next, so one such matrix is live at a time. The
+    first amplitude prepares it from every column of the run. A step on
     sensor ``s`` changes only raw column ``s``, so each later amplitude
     prepares that column alone and copies its ``d+1`` lag columns into
     ``s, s+n, ..., s+d*n``; the values are the same bits either way.
@@ -373,6 +384,54 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
                 column, replace(fault, sensor=0), column_scaler, model.d
             )
         yield z
+
+
+@dataclass
+class _Cell:
+    """One run's partials at one amplitude, pooled over the runs by ``sweep``."""
+
+    hits: dict  # tag -> (winners on the target, stream length)
+    errors: dict  # index -> (summed relative error, estimate count)
+    finite: dict  # index -> whether every estimate is finite
+    streams: dict  # filtered tag -> raw winner stream
+
+
+def _score_run(
+    model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int,
+    tags, indices, ebf_tags, stream_dtype,
+):
+    """Score ``run`` at each amplitude in turn until a cell fails.
+
+    Returns the cells scored and the failure ``(position, phase, error)``, or
+    ``None``. Phase 0 is preparing the faulty rows, phase 1 scoring them and
+    phase 2 an error sum that is not finite; a phase-2 cell is kept, with
+    ``error`` ``None``, since its estimates decide what ``sweep`` raises.
+    """
+    std_target = float(model.scaler.std[target])
+    cells = []
+    faulty = _faulty_runs(model, run, target, amplitudes, onset)
+    for j, amplitude in enumerate(amplitudes):
+        try:
+            z = next(faulty)
+        except SensorDiagError as exc:
+            return cells, (j, 0, exc)
+        cell = _Cell({}, {}, {}, {})
+        try:
+            for tag in tags:
+                winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
+                cell.hits[tag] = _target_hits(winners, target)
+                if tag in ebf_tags:
+                    cell.streams[tag] = winners.astype(stream_dtype)
+            for idx in indices:
+                estimates = estimate_matrix(model, z, target, idx) * std_target
+                cell.errors[idx] = _error_sum(estimates, amplitude)
+                cell.finite[idx] = bool(np.isfinite(estimates).all())
+        except SensorDiagError as exc:
+            return cells, (j, 1, exc)
+        cells.append(cell)
+        if not all(math.isfinite(err) for err, _ in cell.errors.values()):
+            return cells, (j, 2, None)
+    return cells, None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
@@ -406,14 +465,18 @@ def sweep(
         Accumulator constants for the filtered variants; the filter state
         resets at every run boundary, so every (amplitude, run) stream is
         independent and all of them are filtered in one batched pass after
-        the amplitude loop.
+        every run is scored.
 
     Raises
     ------
     NonFiniteResult
         If a score or a report number is not finite, as when an amplitude
-        near the float64 limit overflows the scaled data. Each amplitude
-        is checked as soon as it is scored.
+        near the float64 limit overflows the scaled data. The runs are
+        scored one at a time, each up to its first failing cell; the
+        amplitudes are then checked in grid order, and at each one a run
+        whose faulty rows cannot be prepared is raised first, then a
+        failed score, each in run order, then a pooled error that is not
+        finite. So the error is the one of the first failing amplitude.
     AmplitudeOverflow
         A ``NonFiniteResult`` raised instead when every estimate is finite
         but the error relative to the amplitude is not, as at a subnormal
@@ -438,43 +501,54 @@ def sweep(
     if ebf_params is None:
         ebf_params = EbfParams()
 
+    # Built before scoring, so the digest's serialised model is freed before
+    # the sweep's arrays are made and the two never add up in the peak.
+    metadata = {
+        "model_digest": model_digest(model),
+        "target_sensor": target,
+        "onset_k": onset_k,
+        "amplitudes": grid,
+        "run_lengths": [run.m for run in runs],
+        "variants": [
+            {"method": tag.method.value, "index": tag.index.value, "ebf": use_ebf}
+            for tag, use_ebf in variants
+        ],
+        "ebf_params": asdict(ebf_params),
+    }
+
     tags = list(dict.fromkeys(tag for tag, _ in variants))
     indices = list(dict.fromkeys(tag.index for tag, _ in variants))
-    # Raw winner streams of the filtered tags, every (amplitude, run) in
-    # order, kept in the smallest dtype that holds a sensor index.
-    ebf_streams: dict = {tag: [] for tag, use_ebf in variants if use_ebf}
+    ebf_tags = list(dict.fromkeys(tag for tag, use_ebf in variants if use_ebf))
+    # Raw winner streams of the filtered tags are kept in the smallest dtype
+    # that holds a sensor index.
     stream_dtype = np.min_scalar_type(-model.n)
-    std_target = float(model.scaler.std[target])
     # Grid positions of the scored amplitudes; a zero amplitude is skipped.
     scored = [i for i, a in enumerate(grid) if a != 0.0]
     nonzero = [grid[i] for i in scored]
+    # Run outer, amplitude inner. A later run need not go past the first
+    # failing amplitude found so far: only an earlier failure can matter.
+    cells = []  # per run, its cells in grid order
+    failure = None  # (position, phase, error): the first in the order checked below
+    for run in runs:
+        stop = len(nonzero) if failure is None else failure[0] + 1
+        onset = run.m // 2 if onset_k is None else onset_k
+        run_cells, run_failure = _score_run(
+            model, run, target, nonzero[:stop], onset, tags, indices, ebf_tags, stream_dtype
+        )
+        cells.append(run_cells)
+        if run_failure is not None and (failure is None or run_failure[:2] < failure[:2]):
+            failure = run_failure
     iso: dict = {}  # (grid position, tag, use_ebf) -> isolation percentage
     recon: dict = {}  # (grid position, index) -> reconstruction error
-    # One generator per run, advanced in lockstep: amplitude outer, run inner.
-    faulty = zip(
-        *(
-            _faulty_runs(model, run, target, nonzero, run.m // 2 if onset_k is None else onset_k)
-            for run in runs
-        )
-    )
-    for i, amplitude, zs in zip(scored, nonzero, faulty):
-        winner_streams: dict = {tag: [] for tag in tags}
-        estimate_streams: dict = {idx: [] for idx in indices}
-        for z in zs:
-            for tag in tags:
-                winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
-                winner_streams[tag].append(winners)
-                if tag in ebf_streams:
-                    ebf_streams[tag].append(winners.astype(stream_dtype))
-            for idx in indices:
-                estimate_streams[idx].append(
-                    estimate_matrix(model, z, target, idx) * std_target
-                )
+    for j, (i, amplitude) in enumerate(zip(scored, nonzero)):
+        if failure is not None and failure[0] == j and failure[2] is not None:
+            raise failure[2]
+        column = [run_cells[j] for run_cells in cells]
         # Percentages count integer winners, so only the errors can overflow.
         for idx in indices:
-            err = reconstruction_error(estimate_streams[idx], amplitude)
+            err = _pool((cell.errors[idx] for cell in column), "estimates")
             if not math.isfinite(err):
-                if all(np.isfinite(e).all() for e in estimate_streams[idx]):
+                if all(cell.finite[idx] for cell in column):
                     raise AmplitudeOverflow(
                         f"{idx.value} estimates at amplitude {amplitude!r} are all finite, "
                         "but their errors relative to the amplitude overflow float64"
@@ -485,17 +559,18 @@ def sweep(
                 )
             recon[i, idx] = err
         for tag in tags:
-            iso[i, tag, False] = isolation_percentage(winner_streams[tag], target)
+            iso[i, tag, False] = _pool((cell.hits[tag] for cell in column), "post-onset samples")
     # The filter is causal, so right-padding a shorter stream cannot change
     # its own declarations; each result is cut back to its stream's length.
-    for tag, streams in ebf_streams.items():
+    for tag in ebf_tags:
+        # With R = len(runs), streams j*R .. j*R+R-1 are the j-th scored amplitude.
+        streams = [run_cells[j].streams[tag] for j in range(len(nonzero)) for run_cells in cells]
         lengths = [w.size for w in streams]
         batch = np.zeros((len(streams), max(lengths, default=0)), dtype=stream_dtype)
         for k, w in enumerate(streams):
             batch[k, : w.size] = w
         out = filter_stream(batch, model.n, ebf_params)
         decided = [out[k, :size] for k, size in enumerate(lengths)]
-        # With R = len(runs), streams j*R .. j*R+R-1 are the j-th scored amplitude.
         for j, i in enumerate(scored):
             group = decided[j * len(runs) : (j + 1) * len(runs)]
             iso[i, tag, True] = isolation_percentage(group, target)
@@ -512,16 +587,4 @@ def sweep(
         for i, amplitude in enumerate(grid)
         for tag, use_ebf in variants
     ]
-    metadata = {
-        "model_digest": model_digest(model),
-        "target_sensor": target,
-        "onset_k": onset_k,
-        "amplitudes": grid,
-        "run_lengths": [run.m for run in runs],
-        "variants": [
-            {"method": tag.method.value, "index": tag.index.value, "ebf": use_ebf}
-            for tag, use_ebf in variants
-        ],
-        "ebf_params": asdict(ebf_params),
-    }
     return EvalReport(rows=rows, metadata=metadata)

@@ -345,7 +345,8 @@ def load_model(path: str | Path) -> PcaModel:
     """Load a model saved by :func:`save_model`, validating shape consistency."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # also bad UTF-8 and over-long integers
+    except (OSError, ValueError, RecursionError) as exc:
+        # also bad UTF-8, an over-long integer and deep nesting
         raise CorruptModelFile(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise CorruptModelFile(f"{path}: top-level JSON object expected")

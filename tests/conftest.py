@@ -160,6 +160,10 @@ def _lift_lambda_tilde(p):
     p["lambda_tilde"][0] = 2.0 * p["lambda_hat"][-1]
 
 
+# A tamper stores _DEEP where tampered_model writes arrays nested 100,000
+# deep, deeper than json.dumps or json.loads recurses.
+_DEEP = "<arrays nested 100,000 deep>"
+
 # Edits of a saved n=4, d=2 model, each with the error it must raise.
 MODEL_DEFECTS = {
     "p_hat_doubled": (_scale_p_hat, "not orthonormal"),
@@ -183,7 +187,21 @@ MODEL_DEFECTS = {
     "l_negative": (_set("l", -1), "out of range"),
     "n_zero": (_set("n", 0), "out of range"),
     "d_negative": (_set("d", -1), "out of range"),
+    "nested_document": (lambda p: _DEEP, "maximum recursion depth exceeded"),
+    "nested_scaler": (_set("scaler", _DEEP), "maximum recursion depth exceeded"),
+    "nested_p_hat": (_set("p_hat", _DEEP), "maximum recursion depth exceeded"),
 }
+
+
+def tampered_model(text: str, defect: str) -> tuple[str, str]:
+    """The saved model ``text`` with ``defect`` applied, and the message
+    loading it must raise. A tamper edits the payload in place or returns
+    the document that replaces it."""
+    tamper, message = MODEL_DEFECTS[defect]
+    raw = json.loads(text)
+    doc = tamper(raw)
+    text = json.dumps(raw if doc is None else doc)
+    return text.replace(json.dumps(_DEEP), "[" * 100_000 + "]" * 100_000), message
 
 
 def oracle_kernel(model: PcaModel, method, index) -> np.ndarray:

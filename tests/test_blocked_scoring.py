@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli, detection
-from sensordiag import contribution_matrix, load_model, spe, t2, write_raw_csv
+from sensordiag import contribution_matrix, load_model, save_model, spe, t2, write_raw_csv
 from sensordiag.detection import _BLOCK_ROWS, _row_blocks
 from sensordiag.errors import DegenerateDirection, NonFiniteResult
 from conftest import (
@@ -208,6 +208,29 @@ class TestOneSeriesCopy:
         scores_nbytes = 3 * rows * 8  # SPE, T2 and the raw winner, kept for rendering
         bound = series_nbytes + block_nbytes + block_product_nbytes(model, rows) + scores_nbytes
         bound += series_nbytes // 2
+        assert peak < bound, (peak, bound)
+
+    def test_eval_holds_one_prepared_matrix(self, tmp_path, capsys):
+        # The prepared post-onset rows of one run are the largest array eval
+        # builds, so holding every run's at once breaks the bound.
+        n, d, m, runs, grid = 8, 10, 8000, 4, 6
+        model = make_model(n=n, m=3000, seed=57, d=d)
+        save_model(model, tmp_path / "model.json")
+        csvs = []
+        for k in range(runs):
+            csvs.append(str(tmp_path / f"validation_{k}.csv"))
+            write_raw_csv(make_raw(n=n, m=m, seed=58 + k), csvs[-1])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sweep": {"grid_points": grid}}))
+        argv = ["--config", str(config), "eval", str(tmp_path / "model.json"), *csvs]
+        code, peak = traced_peak(cli.main, [*argv, "--report-out", str(tmp_path / "report")])
+        assert code == 0, capsys.readouterr().err
+        tail = m - m // 2  # rows scored from the default onset m // 2 > d on
+        runs_nbytes = runs * m * n * 8
+        prepared_nbytes = tail * model.n_e * 8
+        streams_nbytes = 3 * grid * runs * tail  # int8 streams, their padded batch and the filter output
+        block_nbytes = tail * n * 8  # one variant's contributions
+        bound = runs_nbytes + prepared_nbytes + streams_nbytes + block_nbytes + prepared_nbytes // 2
         assert peak < bound, (peak, bound)
 
 

@@ -31,7 +31,7 @@ from sensordiag import (
 from sensordiag.cli import _RENDER_LINES, main
 from sensordiag.detection import _row_blocks
 from sensordiag.errors import ConfigError, IndexOutOfRange, LagTooLarge, SensorDiagError, UnstableConfig
-from conftest import MODEL_DEFECTS, assert_same_stream, make_raw, oracle_monitor_ndjson
+from conftest import assert_same_stream, make_raw, oracle_monitor_ndjson, tampered_model
 
 BASE_CONFIG = {
     "lag_depth": 2,
@@ -298,9 +298,21 @@ class TestEval:
     def test_onset_past_the_run_exit_3(self, tmp_path, workspace, capsys):
         config = write_config(tmp_path, {"sweep": {"onset_k": 400}})  # m_validation 400
         capsys.readouterr()
-        code = main(["--config", config, "eval", str(workspace["model"]), str(workspace["validation"][0])])
+        csv = workspace["validation"][0]
+        code = main(["--config", config, "eval", str(workspace["model"]), str(csv)])
         assert code == 3
-        assert "onset 400 not in [0, 400)" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: sweep.onset_k 400 not in [0, 400) for {csv}\n"
+
+    def test_onset_past_a_later_run_names_its_file(self, tmp_path, workspace, capsys):
+        # The first run is long enough; the second, cut to 199 rows, is not.
+        short = tmp_path / "short.csv"
+        short.write_text("".join(workspace["validation"][1].read_text().splitlines(keepends=True)[:200]))
+        config = write_config(tmp_path, {"sweep": {"onset_k": 300}})
+        capsys.readouterr()
+        argv = ["--config", config, "eval", str(workspace["model"]), str(workspace["validation"][0]), str(short)]
+        assert main([*argv, "--report-out", str(tmp_path / "report")]) == 3
+        assert capsys.readouterr().err == f"config error: sweep.onset_k 300 not in [0, 199) for {short}\n"
+        assert not list(tmp_path.glob("report.*"))
 
     @pytest.mark.parametrize("overrides", [{"variance_fraction": 1.0}, {"sweep": {"amplitudes": [0.0, -0.0]}}],
                              ids=["full-variance-model", "zero-amplitudes"])
@@ -431,14 +443,15 @@ class TestMonitor:
             "scaler_mean_untiled",
             "variance_fraction_7",
             "sensor_name_number",
+            "nested_document",
+            "nested_scaler",
+            "nested_p_hat",
         ],
     )
     def test_model_invariant_violation_exit_2(self, tmp_path, workspace, capsys, defect):
-        tamper, message = MODEL_DEFECTS[defect]
-        payload = json.loads(workspace["model"].read_text())
-        tamper(payload)
+        text, message = tampered_model(workspace["model"].read_text(), defect)
         model = tmp_path / "tampered.json"
-        model.write_text(json.dumps(payload))
+        model.write_text(text)
         code = main(
             ["--config", workspace["config"], "monitor", str(model), str(workspace["validation"][0])]
         )
@@ -557,6 +570,14 @@ class TestQuietDataErrors:
         bad.write_bytes(b"\xff\xfe" + workspace["validation"][0].read_bytes())
         proc = run_cli(["--config", workspace["config"], "monitor", str(workspace["model"]), str(bad)], tmp_path)
         assert_one_data_error(proc, f"{bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["eval", "monitor"])
+    def test_deeply_nested_model(self, tmp_path, workspace, command):
+        text, message = tampered_model(workspace["model"].read_text(), "nested_document")
+        model = tmp_path / "nested.json"
+        model.write_text(text)
+        proc = run_cli(["--config", workspace["config"], command, str(model), str(workspace["validation"][0])], tmp_path)
+        assert_one_data_error(proc, f"data error: {model}: {message}")
 
     def test_monitor_cell_over_field_limit(self, tmp_path, workspace):
         bad = tmp_path / "long.csv"

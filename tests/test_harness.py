@@ -489,6 +489,47 @@ class TestPatchedSweep:
         assert str(patched.value) == str(full.value) == f"onset {onset} not in [0, 25)"
 
 
+def leveled_runs(levels):
+    """Ragged runs of 40 and 26 rows (default onsets 20 and 13), each holding
+    its level in sensor 0 from its default onset on; a sweep amplitude of
+    minus that level cancels the level exactly."""
+    out = []
+    for run, level in zip(ragged_runs([40, 26]), levels):
+        samples = run.samples.copy()
+        samples[run.m // 2 :, 0] = level
+        out.append(RawDataset(samples, run.sensor_names))
+    return out
+
+
+class TestErrorOrder:
+    """Scoring run by run raises the error that scoring amplitude by
+    amplitude would: at the first failing amplitude, a run whose faulty data
+    overflow first, then a score that overflows, each in run order."""
+
+    INJECTION = "step fault of amplitude -1e+308 on sensor 's1' from onset 13: the faulty data overflow float64"
+    SCORE = "cp/spe scores overflow float64; the scaled data are too large"
+
+    @pytest.mark.parametrize(
+        "levels, grid, message",
+        [
+            # Run 0 overflows the injection at the second amplitude, run 1 at the first.
+            ((1e308, -1e308), [-1e308, 1e308], INJECTION),
+            # Run 0 overflows the injection at the second amplitude, run 1's
+            # scores at the first.
+            ((1e308, 1.5e308), [-1e308, 1e308], SCORE),
+            # At one amplitude run 0's scores and run 1's injection overflow:
+            # every run is prepared before any is scored.
+            ((1.5e308, -1e308), [-1e308, 1.0], INJECTION),
+        ],
+        ids=["injection", "score", "injection-before-score"],
+    )
+    def test_first_failing_amplitude_wins(self, levels, grid, message):
+        runs = leveled_runs(levels)
+        with pytest.raises(NonFiniteResult) as info:
+            sweep(lag_model(1), runs, 0, grid, [(CP_SPE, False)])
+        assert str(info.value) == message
+
+
 class TestSignSymmetry:
     def test_winner_is_even_in_the_sample(self):
         model = small_model()

@@ -26,7 +26,7 @@ from sensordiag.errors import (
     SchemaVersionMismatch,
     UndersampledFit,
 )
-from conftest import MODEL_DEFECTS, REF2_V, make_model, make_scaled, ref2_training_set
+from conftest import MODEL_DEFECTS, REF2_V, make_model, make_scaled, ref2_training_set, tampered_model
 
 
 def identity_scaled(x):
@@ -302,11 +302,9 @@ class TestLoadInvariants:
 
     @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
     def test_defect_rejected(self, payload, tmp_path, defect):
-        tamper, message = MODEL_DEFECTS[defect]
-        raw = json.loads(payload)
-        tamper(raw)
+        text, message = tampered_model(payload, defect)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(text)
         with pytest.raises(CorruptModelFile, match=message):
             load_model(path)
 

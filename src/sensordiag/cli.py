@@ -146,8 +146,9 @@ def _resolve(schema: dict, user: dict, prefix: str = "") -> dict:
 
 DEFAULT_CONFIG: dict = _resolve(_SCHEMA, {})
 
-# Monitor lines formatted per stdout write: small enough that the rendered
-# text stays a small transient, large enough to amortise each call.
+# Longest row block monitor scores and formats per stdout write: small
+# enough that the embedded block and the rendered text stay small
+# transients, large enough to amortise each call.
 _RENDER_LINES = 1024
 _JSON_BOOL = ("false", "true")
 
@@ -291,8 +292,7 @@ def cmd_eval(args, cfg: dict) -> int:
 @np.errstate(over="ignore", invalid="ignore")  # scoring rejects an overflow
 def cmd_monitor(args, cfg: dict) -> int:
     model = load_model(args.csv_model)
-    # The raw copy is freed once scaled; the replay reads only the scaled one.
-    scaled = apply_scaler(_read_for_model(args.csv, model, cfg), model.base_scaler)
+    raw = _read_for_model(args.csv, model, cfg)
     tag = IsolationMethod(
         ContributionMethod(cfg["monitor"]["method"]),
         DetectionIndex(cfg["monitor"]["index"]),
@@ -300,29 +300,32 @@ def cmd_monitor(args, cfg: dict) -> int:
     gate = cfg["monitor"]["gate_on_detection"]
     params = _ebf_params(cfg)
     d = model.d
-    spe_parts, t2_parts, winner_parts = [], [], []
-    # Embed and score one row block at a time, so memory is bounded by the
-    # block; embedded row e reads scaled rows e .. e + d. Every block is
-    # scored before the first line is written.
-    for blk in _row_blocks(scaled.m - d):
-        window = replace(scaled, samples=scaled.samples[blk.start : blk.stop + d])
-        z = embed_lags(window, LagSpec(d)).samples
-        spe_parts.append(spe(model, z))
-        t2_parts.append(t2(model, z))
-        winner_parts.append(contribution_matrix(model, z, tag).argmax(axis=1))
+    # One list of near-equal row blocks, each at most _RENDER_LINES long,
+    # serves scoring and rendering. Embedded row e reads raw rows e .. e + d,
+    # so each block scales and embeds only its own window of the raw series,
+    # and memory is bounded by the block. Every block is scored before the
+    # first line is written.
+    blocks = _row_blocks(raw.m - d, _RENDER_LINES)
+    spe_all, t2_all = np.empty(raw.m - d), np.empty(raw.m - d)
+    winner_all = np.empty(raw.m - d, dtype=np.min_scalar_type(-model.n))
+    for blk in blocks:
+        window = replace(raw, samples=raw.samples[blk.start : blk.stop + d])
+        z = embed_lags(apply_scaler(window, model.base_scaler), LagSpec(d)).samples
+        spe_all[blk] = spe(model, z)
+        t2_all[blk] = t2(model, z)
+        winner_all[blk] = contribution_matrix(model, z, tag).argmax(axis=1)
         del z  # free this block before the next one is embedded
-    spe_all, t2_all, winner_all = map(np.concatenate, (spe_parts, t2_parts, winner_parts))
+    del raw, window  # the replay reads only the scores
     # json.dumps spelling: a finite float prints as its repr, as %r does.
     line = (
         '{"k": %d, "spe": %r, "t2": %r, "spe_exceeds": %s, "t2_exceeds": %s, '
         '"raw_winner": %d, "ebf_declared": %s, "s": [' + ", ".join(["%r"] * model.n) + "]}\n"
     )
     state = EbfState.fresh(model.n)
-    for lo in range(0, winner_all.size, _RENDER_LINES):
-        chunk = slice(lo, lo + _RENDER_LINES)
-        winners = winner_all[chunk].tolist()
-        spe_exceeds = (spe_all[chunk] > model.spe_limit).tolist()
-        t2_exceeds = (t2_all[chunk] > model.t2_limit).tolist()
+    for blk in blocks:
+        winners = winner_all[blk].tolist()
+        spe_exceeds = (spe_all[blk] > model.spe_limit).tolist()
+        t2_exceeds = (t2_all[blk] > model.t2_limit).tolist()
         declared, levels = [], []
         for winner, spe_hit, t2_hit in zip(winners, spe_exceeds, t2_exceeds):
             if not gate or spe_hit or t2_hit:
@@ -331,9 +334,9 @@ def cmd_monitor(args, cfg: dict) -> int:
             declared.append("null" if decision is None else decision)
             levels.append(state.s)
         cols = [
-            range(lo + d, lo + d + len(winners)),
-            spe_all[chunk].tolist(),
-            t2_all[chunk].tolist(),
+            range(blk.start + d, blk.stop + d),
+            spe_all[blk].tolist(),
+            t2_all[blk].tolist(),
             [_JSON_BOOL[hit] for hit in spe_exceeds],
             [_JSON_BOOL[hit] for hit in t2_exceeds],
             winners,

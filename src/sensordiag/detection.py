@@ -24,10 +24,9 @@ __all__ = ["IndexSample", "spe", "t2", "fit_threshold", "index_sample"]
 
 # Longest row block one scoring call sends through a gemm. Longer inputs are
 # scored block by block, so temporaries stay bounded by the block, not by the
-# series length; at d=10 a block is embedded 11 times wider than its raw rows,
-# so it sets monitor's peak memory. Inputs up to this size, such as the sweep's
-# tail of any run up to 8192 rows, stay one product and so match an unblocked
-# product at any shape.
+# series length. Inputs up to this size, such as the sweep's tail of any run
+# up to 8192 rows, stay one product and so match an unblocked product at any
+# shape. monitor cuts its series into smaller blocks of its own.
 _BLOCK_ROWS = 4096
 
 
@@ -52,15 +51,18 @@ def _rows(model: "PcaModel", x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _row_blocks(m: int) -> list[slice]:
-    """``ceil(m / _BLOCK_ROWS)`` near-equal slices covering ``range(m)``.
+def _row_blocks(m: int, size: int | None = None) -> list[slice]:
+    """``ceil(m / size)`` near-equal slices covering ``range(m)``; ``size``
+    is ``_BLOCK_ROWS`` unless given, read at each call.
 
-    At most ``_BLOCK_ROWS`` rows is one block, so a short input, such as
-    the post-onset tail ``sweep`` scores for a default validation run,
-    keeps a single gemm; a longer one splits into blocks of at least
-    ``_BLOCK_ROWS // 2`` rows each.
+    At most ``size`` rows is one block, so a short input, such as the
+    post-onset tail ``sweep`` scores for a default validation run, keeps a
+    single gemm; a longer one splits into blocks of at least ``size // 2``
+    rows each. Aligned ``size``-row chunks would leave a last block as
+    short as one row, whose product may round differently.
     """
-    k = max(1, -(-m // _BLOCK_ROWS))
+    size = _BLOCK_ROWS if size is None else size
+    k = max(1, -(-m // size))
     return [slice(i * m // k, (i + 1) * m // k) for i in range(k)]
 
 

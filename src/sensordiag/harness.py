@@ -393,12 +393,11 @@ class _Cell:
     hits: dict  # tag -> (winners on the target, stream length)
     errors: dict  # index -> (summed relative error, estimate count)
     finite: dict  # index -> whether every estimate is finite
-    streams: dict  # filtered tag -> raw winner stream
 
 
 def _score_run(
     model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int,
-    tags, indices, ebf_tags, stream_dtype,
+    tags, indices, batches: dict, rows: range,
 ):
     """Score ``run`` at each amplitude in turn until a cell fails.
 
@@ -406,6 +405,8 @@ def _score_run(
     ``None``. Phase 0 is preparing the faulty rows, phase 1 scoring them and
     phase 2 an error sum that is not finite; a phase-2 cell is kept, with
     ``error`` ``None``, since its estimates decide what ``sweep`` raises.
+    The raw winner stream of the ``j``-th amplitude under a tag in
+    ``batches`` is written into that tag's batch at row ``rows[j]``.
     """
     std_target = float(model.scaler.std[target])
     cells = []
@@ -415,13 +416,13 @@ def _score_run(
             z = next(faulty)
         except SensorDiagError as exc:
             return cells, (j, 0, exc)
-        cell = _Cell({}, {}, {}, {})
+        cell = _Cell({}, {}, {})
         try:
             for tag in tags:
                 winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
                 cell.hits[tag] = _target_hits(winners, target)
-                if tag in ebf_tags:
-                    cell.streams[tag] = winners.astype(stream_dtype)
+                if tag in batches:
+                    batches[tag][rows[j], : winners.size] = winners
             for idx in indices:
                 estimates = estimate_matrix(model, z, target, idx) * std_target
                 cell.errors[idx] = _error_sum(estimates, amplitude)
@@ -472,7 +473,8 @@ def sweep(
     NonFiniteResult
         If a score or a report number is not finite, as when an amplitude
         near the float64 limit overflows the scaled data. The runs are
-        scored one at a time, each up to its first failing cell; the
+        scored one at a time, each up to its first failing cell, or only
+        at the first amplitude when an onset lies outside its run; the
         amplitudes are then checked in grid order, and at each one a run
         whose faulty rows cannot be prepared is raised first, then a
         failed score, each in run order, then a pooled error that is not
@@ -518,26 +520,37 @@ def sweep(
 
     tags = list(dict.fromkeys(tag for tag, _ in variants))
     indices = list(dict.fromkeys(tag.index for tag, _ in variants))
-    ebf_tags = list(dict.fromkeys(tag for tag, use_ebf in variants if use_ebf))
-    # Raw winner streams of the filtered tags are kept in the smallest dtype
-    # that holds a sensor index.
-    stream_dtype = np.min_scalar_type(-model.n)
     # Grid positions of the scored amplitudes; a zero amplitude is skipped.
     scored = [i for i, a in enumerate(grid) if a != 0.0]
     nonzero = [grid[i] for i in scored]
+    onsets = [run.m // 2 if onset_k is None else onset_k for run in runs]
+    # Each filtered tag's raw winner streams go straight into one batch, in
+    # the smallest dtype that holds a sensor index. With R = len(runs), row
+    # j*R + r holds run r at the j-th scored amplitude; its evaluation rows
+    # start at max(onset, d), and the rest of the row is padding.
+    lengths = [max(0, run.m - max(onset, model.d)) for run, onset in zip(runs, onsets)]
+    batches = {
+        tag: np.zeros((len(nonzero) * len(runs), max(lengths)), np.min_scalar_type(-model.n))
+        for tag, use_ebf in variants
+        if use_ebf
+    }
     # Run outer, amplitude inner. A later run need not go past the first
-    # failing amplitude found so far: only an earlier failure can matter.
+    # failing amplitude found so far: only an earlier failure can matter. An
+    # onset outside its run fails at the first amplitude, so then no run is
+    # scored past it.
+    stop = len(nonzero) if all(0 <= onset < run.m for run, onset in zip(runs, onsets)) else 1
     cells = []  # per run, its cells in grid order
     failure = None  # (position, phase, error): the first in the order checked below
-    for run in runs:
-        stop = len(nonzero) if failure is None else failure[0] + 1
-        onset = run.m // 2 if onset_k is None else onset_k
+    for r, (run, onset) in enumerate(zip(runs, onsets)):
         run_cells, run_failure = _score_run(
-            model, run, target, nonzero[:stop], onset, tags, indices, ebf_tags, stream_dtype
+            model, run, target, nonzero[:stop], onset, tags, indices,
+            batches, range(r, len(nonzero) * len(runs), len(runs)),
         )
         cells.append(run_cells)
+        # Ties at one (position, phase) keep the earlier run's failure.
         if run_failure is not None and (failure is None or run_failure[:2] < failure[:2]):
             failure = run_failure
+            stop = failure[0] + 1
     iso: dict = {}  # (grid position, tag, use_ebf) -> isolation percentage
     recon: dict = {}  # (grid position, index) -> reconstruction error
     for j, (i, amplitude) in enumerate(zip(scored, nonzero)):
@@ -560,19 +573,12 @@ def sweep(
             recon[i, idx] = err
         for tag in tags:
             iso[i, tag, False] = _pool((cell.hits[tag] for cell in column), "post-onset samples")
-    # The filter is causal, so right-padding a shorter stream cannot change
-    # its own declarations; each result is cut back to its stream's length.
-    for tag in ebf_tags:
-        # With R = len(runs), streams j*R .. j*R+R-1 are the j-th scored amplitude.
-        streams = [run_cells[j].streams[tag] for j in range(len(nonzero)) for run_cells in cells]
-        lengths = [w.size for w in streams]
-        batch = np.zeros((len(streams), max(lengths, default=0)), dtype=stream_dtype)
-        for k, w in enumerate(streams):
-            batch[k, : w.size] = w
+    # The filter is causal, so padding cannot change a stream's own
+    # declarations; each result is cut back to its stream's length.
+    for tag, batch in batches.items():
         out = filter_stream(batch, model.n, ebf_params)
-        decided = [out[k, :size] for k, size in enumerate(lengths)]
         for j, i in enumerate(scored):
-            group = decided[j * len(runs) : (j + 1) * len(runs)]
+            group = [out[j * len(runs) + r, :size] for r, size in enumerate(lengths)]
             iso[i, tag, True] = isolation_percentage(group, target)
     rows = [
         ReportRow(

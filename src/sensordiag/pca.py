@@ -11,7 +11,6 @@ empirical control limits for the two detection indices.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -440,5 +439,7 @@ def load_model(path: str | Path) -> PcaModel:
 
 def model_digest(model: PcaModel) -> str:
     """Stable content hash of the serialized model (for report provenance)."""
+    import hashlib  # loads OpenSSL, 4 MB resident, so only the commands that hash pay it
+
     blob = json.dumps(_model_payload(model), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

@@ -27,6 +27,7 @@ from sensordiag import (
     save_model,
     write_raw_csv,
 )
+from sensordiag.cli import _RENDER_LINES
 from sensordiag.detection import _BLOCK_ROWS, _row_blocks
 from sensordiag.ebf import _DECISION_TOL
 from sensordiag.errors import CsvParseError, IndexOutOfRange
@@ -101,18 +102,24 @@ def assert_same_stream(out, expected):
         )
 
 
+def monitor_blocks(lines: int) -> list[slice]:
+    """The row blocks ``monitor`` scores and renders a series of ``lines``
+    output lines in."""
+    return _row_blocks(lines, _RENDER_LINES)
+
+
 def write_long_series(root: Path, d: int) -> dict:
-    """Save an n=8 model of lag depth ``d`` and a monitor series two row
+    """Save an n=8 model of lag depth ``d`` and a monitor series two scoring
     blocks plus one row long, with a step fault on sensor 0 whose onset is the
-    last sample of the first block, so the sensor's lag window straddles the
-    block edge."""
+    last sample of monitor's first row block, so the sensor's lag window
+    straddles the block edge."""
     m_train = 3000
     rows = 2 * _BLOCK_ROWS + d + 1
     raw = make_raw(n=8, m=m_train + rows, seed=31)
     train = RawDataset(raw.samples[:m_train], raw.sensor_names)
     model = fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(d)))
     save_model(model, root / "model.json")
-    onset = _row_blocks(rows - d)[1].start + d - 1
+    onset = monitor_blocks(rows - d)[1].start + d - 1
     amplitude = 25.0 * train.samples[:, 0].std(ddof=1)
     series = RawDataset(raw.samples[m_train:], raw.sensor_names)
     write_raw_csv(inject_fault(series, FaultSpec(0, amplitude, onset)), root / "series.csv")

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from sensordiag import ContributionMethod, DetectionIndex, cli, dataset, ebf
-from sensordiag.detection import _BLOCK_ROWS
+from sensordiag.cli import _RENDER_LINES
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
 # Contribution spans carry the variant as a suffix, e.g. ".rbc-t2".
@@ -156,6 +156,6 @@ def test_monitor_embeds_block_by_block(long_series, monkeypatch, capsys, tmp_pat
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(embedded) > 1
-    assert all(rows_in <= _BLOCK_ROWS + d for rows_in, _ in embedded)  # one block plus its lag history
+    assert all(rows_in <= _RENDER_LINES + d for rows_in, _ in embedded)  # one block plus its lag history
     assert sum(rows_out for _, rows_out in embedded) == long_series["rows"] - d
     assert len(steps) == len(lines) == long_series["rows"] - d

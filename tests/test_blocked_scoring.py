@@ -26,6 +26,7 @@ from conftest import (
     assert_same_winners,
     make_model,
     make_raw,
+    monitor_blocks,
     whole_array_contributions,
     whole_array_spe,
     whole_array_t2,
@@ -193,7 +194,10 @@ class TestOneSeriesCopy:
         bound += raw.samples.nbytes // 2
         assert peak < bound, (peak, bound)
 
-    def test_monitor_holds_only_the_scaled_series(self, tmp_path, monkeypatch, long_series):
+    def test_monitor_holds_only_the_raw_series(self, tmp_path, monkeypatch, long_series):
+        # monitor scales, embeds and scores one row block of at most
+        # _RENDER_LINES rows at a time, so beside the raw series it holds one
+        # block and its product, never a scaled copy of the series.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({}))
         argv = ["--config", str(config), "monitor", str(long_series["model"]), str(long_series["csv"])]
@@ -204,10 +208,13 @@ class TestOneSeriesCopy:
         model = load_model(long_series["model"])
         rows = long_series["rows"] - model.d
         series_nbytes = long_series["rows"] * model.n * 8
-        block_nbytes = max(b.stop - b.start for b in _row_blocks(rows)) * model.n_e * 8
-        scores_nbytes = 3 * rows * 8  # SPE, T2 and the raw winner, kept for rendering
-        bound = series_nbytes + block_nbytes + block_product_nbytes(model, rows) + scores_nbytes
-        bound += series_nbytes // 2
+        block = max(b.stop - b.start for b in monitor_blocks(rows))
+        assert block <= cli._RENDER_LINES
+        block_nbytes = block * model.n_e * 8
+        scores_nbytes = rows * (8 + 8 + 1)  # SPE, T2 and the int8 raw winner, kept for rendering
+        model_nbytes = model.p_hat.nbytes + model.p_tilde.nbytes + model.n_e**2 * 8  # and one kernel
+        bound = series_nbytes + block_nbytes + block_product_nbytes(model, block) + scores_nbytes
+        bound += model_nbytes + series_nbytes // 2
         assert peak < bound, (peak, bound)
 
     def test_eval_holds_one_prepared_matrix(self, tmp_path, capsys):
@@ -231,6 +238,32 @@ class TestOneSeriesCopy:
         streams_nbytes = 3 * grid * runs * tail  # int8 streams, their padded batch and the filter output
         block_nbytes = tail * n * 8  # one variant's contributions
         bound = runs_nbytes + prepared_nbytes + streams_nbytes + block_nbytes + prepared_nbytes // 2
+        assert peak < bound, (peak, bound)
+
+    def test_eval_holds_each_winner_stream_once(self, tmp_path, capsys):
+        # Many amplitudes over short rows make the filtered tag's int8 winner
+        # streams eval's largest arrays. Each is written once into the batch
+        # the filter reads, which with the filter's output makes two copies;
+        # a third copy breaks the bound.
+        n, d, m, runs, grid = 4, 1, 8000, 2, 100
+        model = make_model(n=n, m=3000, seed=57, d=d)
+        save_model(model, tmp_path / "model.json")
+        csvs = []
+        for k in range(runs):
+            csvs.append(str(tmp_path / f"validation_{k}.csv"))
+            write_raw_csv(make_raw(n=n, m=m, seed=58 + k), csvs[-1])
+        config = tmp_path / "config.json"
+        variants = [{"method": "rbc", "index": "t2", "ebf": True}]
+        config.write_text(json.dumps({"sweep": {"grid_points": grid, "variants": variants}}))
+        argv = ["--config", str(config), "eval", str(tmp_path / "model.json"), *csvs]
+        code, peak = traced_peak(cli.main, [*argv, "--report-out", str(tmp_path / "report")])
+        assert code == 0, capsys.readouterr().err
+        tail = m - m // 2  # rows scored from the default onset m // 2 > d on
+        runs_nbytes = runs * m * n * 8
+        prepared_nbytes = tail * model.n_e * 8
+        streams_nbytes = grid * runs * tail  # one int8 copy of every stream
+        block_nbytes = tail * n * 8  # the variant's contributions
+        bound = runs_nbytes + prepared_nbytes + 2 * streams_nbytes + block_nbytes + streams_nbytes // 2
         assert peak < bound, (peak, bound)
 
 
@@ -263,9 +296,10 @@ class TestOneProductOracle:
 
     @staticmethod
     def both_ways(monkeypatch, run):
-        """``run()`` at the module block size, then with one block."""
+        """``run()`` at the module block sizes, then with one block."""
         blocked = run()
         monkeypatch.setattr(detection, "_BLOCK_ROWS", 10**9)
+        monkeypatch.setattr(cli, "_RENDER_LINES", 10**9)  # monitor's block cap
         return blocked, run()
 
     def test_eval_report_from_onset_zero(self, tmp_path, monkeypatch, capsys):
@@ -289,9 +323,9 @@ class TestOneProductOracle:
         assert_same_stream(blocked, whole)
 
     def test_monitor_ndjson(self, long_series, monkeypatch, capsys):
-        # past one 8192-row block too, so the series takes several blocks at either size
+        # past one 8192-row block too, so the series takes several blocks at any size
         assert long_series["rows"] > 8193 and long_series["d"] == 10
-        assert len(_row_blocks(long_series["rows"] - long_series["d"])) > 1
+        assert len(monitor_blocks(long_series["rows"] - long_series["d"])) > 1
 
         def run():
             capsys.readouterr()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,9 +30,8 @@ from sensordiag import (
     write_raw_csv,
 )
 from sensordiag.cli import _RENDER_LINES, main
-from sensordiag.detection import _row_blocks
 from sensordiag.errors import ConfigError, IndexOutOfRange, LagTooLarge, SensorDiagError, UnstableConfig
-from conftest import assert_same_stream, make_raw, oracle_monitor_ndjson, tampered_model
+from conftest import assert_same_stream, make_raw, monitor_blocks, oracle_monitor_ndjson, tampered_model
 
 BASE_CONFIG = {
     "lag_depth": 2,
@@ -616,7 +616,7 @@ class TestQuietDataErrors:
         # Every block is scored before the first line is written, so an
         # overflow in the last scoring block still leaves stdout empty.
         d = long_series["d"]
-        blocks = _row_blocks(long_series["rows"] - d)
+        blocks = monitor_blocks(long_series["rows"] - d)
         assert len(blocks) >= 2
         row = (blocks[-1].start + blocks[-1].stop) // 2 + d  # read by embedded rows row-d .. row
         assert row - d >= blocks[-1].start
@@ -648,6 +648,32 @@ class TestQuietDataErrors:
             proc, "step fault of amplitude 1e+308 on sensor 's1' from onset 200: the faulty data overflow float64"
         )
         assert not list(tmp_path.glob("report.*"))
+
+
+@pytest.mark.parametrize("command", ["fit", "monitor", "eval"])
+def test_only_eval_loads_openssl(tmp_path, workspace, command):
+    # hashlib loads OpenSSL (_hashlib), about 4 MB resident, and only eval's
+    # model digest needs it. simulate is left out: numpy.random loads it
+    # through secrets and hmac.
+    argv = {
+        "fit": ["fit", str(workspace["train"]), "--model-out", str(tmp_path / "model.json")],
+        "monitor": ["monitor", str(workspace["model"]), str(workspace["validation"][0])],
+        "eval": ["eval", str(workspace["model"]), *map(str, workspace["validation"]),
+                 "--report-out", str(tmp_path / "report")],
+    }[command]
+    script = (
+        "import sys\nfrom sensordiag.cli import main\n"
+        f"code = main({['--config', workspace['config'], *argv]!r})\n"
+        "print(code, '_hashlib' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == f"0 {command == 'eval'}", proc.stderr
+    if command == "eval":
+        payload = json.loads(workspace["model"].read_text(encoding="utf-8"))
+        expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["metadata"]["model_digest"] == expected
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")

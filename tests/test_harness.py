@@ -39,6 +39,7 @@ from sensordiag.errors import (
     EmptySample,
     IndexOutOfRange,
     NonFiniteResult,
+    SensorDiagError,
     UnstableConfig,
     ZeroAmplitude,
 )
@@ -528,6 +529,40 @@ class TestErrorOrder:
         with pytest.raises(NonFiniteResult) as info:
             sweep(lag_model(1), runs, 0, grid, [(CP_SPE, False)])
         assert str(info.value) == message
+
+    ONSET = "onset 13 not in [0, 10)"
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [((0, 1), INJECTION.replace("-1e+308", "1e+308")), ((1, 0), ONSET)],
+        ids=["injection-first", "onset-first"],
+    )
+    def test_ties_at_the_first_amplitude_go_to_the_earlier_run(self, order, message):
+        # Both runs fail while the first amplitude is prepared: a 40-row run
+        # whose sensor 0 overflows once injected, and a 10-row run that does
+        # not reach onset 13.
+        overflowing = ragged_runs([40])[0]
+        samples = overflowing.samples.copy()
+        samples[13:, 0] = 1e308
+        runs = [RawDataset(samples, overflowing.sensor_names), ragged_runs([10])[0]]
+        with pytest.raises(SensorDiagError) as info:
+            sweep(lag_model(1), [runs[k] for k in order], 0, [1e308, 1.0], [(CP_SPE, False)], onset_k=13)
+        assert str(info.value) == message
+
+    def test_onset_past_a_later_run_scores_one_amplitude_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return contribution_matrix(*args)
+
+        monkeypatch.setattr(harness, "contribution_matrix", counting)
+        runs = [*validation_runs(3, m=600), validation_runs(1, m=199)[0]]
+        variants = [(CP_SPE, False), (RBC_T2, False), (RBC_T2, True)]
+        with pytest.raises(IndexOutOfRange) as info:
+            sweep(lag_model(1), runs, 0, np.linspace(-3.0, 3.0, 20), variants, onset_k=500)
+        assert str(info.value) == "onset 500 not in [0, 199)"
+        assert len(calls) == 3 * 2  # the first amplitude of each earlier run, two tags
 
 
 class TestSignSymmetry:

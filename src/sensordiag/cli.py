@@ -215,15 +215,21 @@ def _read_for_model(path, model, cfg: dict):
 
 def cmd_fit(args, cfg: dict) -> int:
     d = cfg["lag_depth"]
+    # Each copy of the series is dropped once the next is built, and the
+    # embedded matrix once the model is fitted, so save_model builds its JSON
+    # text beside none of them.
     data = read_raw_csv(args.train_csv, cfg["sample_period_s"])
-    embedded = embed_lags(apply_scaler(data, fit_scaler(data)), LagSpec(d))
-    del data  # fit_pca then runs beside the embedded matrix alone
+    scaled = apply_scaler(data, fit_scaler(data))
+    del data
+    embedded = embed_lags(scaled, LagSpec(d))
+    del scaled
     if embedded.m < 2:  # embed_lags leaves m - d rows; a covariance needs two
         raise ConfigError(
             f"{args.train_csv}: {embedded.m + d} rows too few for lag_depth {d} "
             f"(need at least {d + 2})"
         )
     model = fit_pca(embedded, cfg["variance_fraction"], cfg["alpha"])
+    del embedded
     save_model(model, args.model_out)
     explained = float(model.lambda_hat.sum()) / float(
         model.lambda_hat.sum() + model.lambda_tilde.sum()
@@ -258,7 +264,14 @@ def cmd_eval(args, cfg: dict) -> int:
         a_max = sw["max_amplitude"]
         if a_max is None:
             a_max = 6.0 * model.residual_std(target)
-        grid = np.linspace(-a_max, a_max, sw["grid_points"]).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            grid = np.linspace(-a_max, a_max, sw["grid_points"])
+        if not np.isfinite(grid).all():  # linspace takes a_max - (-a_max), which can overflow
+            raise ConfigError(
+                f"sweep.max_amplitude {a_max!r}: the grid from {-a_max!r} to {a_max!r} "
+                f"overflows float64 (use at most {sys.float_info.max / 2!r})"
+            )
+        grid = grid.tolist()
     if not any(grid):
         raise ConfigError(
             "every sweep amplitude is zero, so no cell would be evaluated; "

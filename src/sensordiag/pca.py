@@ -439,7 +439,15 @@ def load_model(path: str | Path) -> PcaModel:
 
 def model_digest(model: PcaModel) -> str:
     """Stable content hash of the serialized model (for report provenance)."""
-    import hashlib  # loads OpenSSL, 4 MB resident, so only the commands that hash pay it
+    # hashlib loads OpenSSL (3.6 MB resident); CPython's built-in SHA-256
+    # gives the same digest, so hashlib is only the last resort (as random.py).
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
 
     blob = json.dumps(_model_payload(model), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()

@@ -194,6 +194,26 @@ class TestOneSeriesCopy:
         bound += raw.samples.nbytes // 2
         assert peak < bound, (peak, bound)
 
+    def test_fit_saves_without_the_embedded_matrix(self, tmp_path, capsys, monkeypatch):
+        # save_model builds the model's JSON text; the embedded matrix is
+        # dropped before it, so less than one matrix is live when it starts.
+        m, n, d = 8_000, 8, 10
+        write_raw_csv(make_raw(n=n, m=m, seed=52), tmp_path / "train.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lag_depth": d}))
+        live = []
+
+        def save_model_spy(model, path):
+            live.append(tracemalloc.get_traced_memory()[0])
+            save_model(model, path)
+
+        monkeypatch.setattr(cli, "save_model", save_model_spy)
+        argv = ["--config", str(config), "fit", str(tmp_path / "train.csv"), "--model-out", str(tmp_path / "m.json")]
+        code, _ = traced_peak(cli.main, argv)
+        assert code == 0, capsys.readouterr().err
+        embedded_nbytes = (m - d) * n * (d + 1) * 8
+        assert len(live) == 1 and live[0] < embedded_nbytes, (live, embedded_nbytes)
+
     def test_monitor_holds_only_the_raw_series(self, tmp_path, monkeypatch, long_series):
         # monitor scales, embeds and scores one row block of at most
         # _RENDER_LINES rows at a time, so beside the raw series it holds one

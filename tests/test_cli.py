@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -650,11 +651,23 @@ class TestQuietDataErrors:
         assert not list(tmp_path.glob("report.*"))
 
 
+def test_import_loads_neither_openssl_nor_numpy_random():
+    # OpenSSL (_hashlib) costs 3.6 MB resident and numpy.random 5.6 MB with
+    # it; simulate loads numpy.random when it runs, not at import.
+    script = (
+        "import sys\nimport sensordiag, sensordiag.cli\n"
+        "print(sorted({'_hashlib', 'numpy.random'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 @pytest.mark.parametrize("command", ["fit", "monitor", "eval"])
-def test_only_eval_loads_openssl(tmp_path, workspace, command):
-    # hashlib loads OpenSSL (_hashlib), about 4 MB resident, and only eval's
-    # model digest needs it. simulate is left out: numpy.random loads it
-    # through secrets and hmac.
+def test_no_command_loads_openssl(tmp_path, workspace, command):
+    # hashlib loads OpenSSL (_hashlib), 3.6 MB resident; eval's model digest
+    # takes CPython's built-in SHA-256 instead. simulate is left out:
+    # numpy.random loads OpenSSL through secrets and hmac.
     argv = {
         "fit": ["fit", str(workspace["train"]), "--model-out", str(tmp_path / "model.json")],
         "monitor": ["monitor", str(workspace["model"]), str(workspace["validation"][0])],
@@ -668,7 +681,7 @@ def test_only_eval_loads_openssl(tmp_path, workspace, command):
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert proc.stdout.splitlines()[-1] == f"0 {command == 'eval'}", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
     if command == "eval":
         payload = json.loads(workspace["model"].read_text(encoding="utf-8"))
         expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
@@ -790,6 +803,26 @@ class TestTinyAmplitudes:
                      "--report-out", str(report)])
         assert code == 0, capsys.readouterr().err
         assert (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "max_amplitude, grid_points",
+    [(1e308, 4), (math.nextafter(sys.float_info.max / 2, math.inf), 2), (sys.float_info.max, 1)],
+    ids=["1e308", "past-half-max", "max-one-point"],
+)
+def test_max_amplitude_overflowing_the_grid_exits_3(tmp_path, workspace, max_amplitude, grid_points):
+    # linspace takes max_amplitude - (-max_amplitude), which overflows past
+    # half the float64 maximum and would leave NaN amplitudes in the grid.
+    report = tmp_path / "report"
+    sweep = {"max_amplitude": max_amplitude, "grid_points": grid_points}
+    args = ["eval", str(workspace["model"]), *map(str, workspace["validation"]), "--report-out", str(report)]
+    proc = run_cli(["--config", write_config(tmp_path, {"sweep": sweep}), *args], tmp_path)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (  # one line: no numpy warning, no traceback
+        f"config error: sweep.max_amplitude {max_amplitude!r}: the grid from {-max_amplitude!r} "
+        f"to {max_amplitude!r} overflows float64 (use at most 8.988465674311579e+307)\n"
+    )
+    assert not list(tmp_path.glob("report.*"))
 
 
 def all_subclasses(cls):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -270,6 +272,26 @@ class TestPersistence:
         assert back.spe_limit == 0.0
         assert back.t2_limit == model.t2_limit
         assert model_digest(back) == model_digest(model)
+
+    def test_digest_falls_back_to_hashlib(self, tmp_path, monkeypatch):
+        # Without CPython's built-in SHA-256 module, model_digest takes
+        # hashlib's sha256, and the digest stays the same.
+        model = make_model(n=4, m=300, seed=19, d=1)
+        save_model(model, tmp_path / "model.json")
+        payload = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        assert model_digest(model) == expected
+        calls, real = [], hashlib.sha256
+
+        def spy(blob):
+            calls.append(len(blob))
+            return real(blob)
+
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        monkeypatch.setitem(sys.modules, "_sha2", None)  # import then raises ImportError
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert model_digest(model) == expected
+        assert len(calls) == 1
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "model.json"

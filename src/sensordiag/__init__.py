@@ -17,7 +17,6 @@ from .dataset import (
     apply_scaler,
     embed_lags,
     fit_scaler,
-    inverse_scaler,
     read_raw_csv,
     write_raw_csv,
 )
@@ -27,7 +26,6 @@ from .ebf import (
     EbfParams,
     EbfState,
     ebf_decide,
-    ebf_reset,
     ebf_step,
     filter_stream,
 )
@@ -53,7 +51,6 @@ from .isolation import (
     contribution_matrix,
     contributions,
     direction,
-    direction_matrix,
     estimate_fault,
     estimate_matrix,
     isolate,

@@ -196,10 +196,10 @@ def _config_variants(cfg: dict):
     ]
 
 
-def _read_for_model(path, model, cfg: dict):
+def _read_for_model(path, model):
     """Read a CSV for ``model`` to score: the model's sensor names, in order,
     and more rows than its lag depth."""
-    data = read_raw_csv(path, cfg["sample_period_s"])
+    data = read_raw_csv(path)
     if data.sensor_names != model.sensor_names:
         raise DimensionMismatch(
             f"{path}: sensor names {data.sensor_names!r} do not match "
@@ -218,7 +218,7 @@ def cmd_fit(args, cfg: dict) -> int:
     # Each copy of the series is dropped once the next is built, and the
     # embedded matrix once the model is fitted, so save_model builds its JSON
     # text beside none of them.
-    data = read_raw_csv(args.train_csv, cfg["sample_period_s"])
+    data = read_raw_csv(args.train_csv)
     scaled = apply_scaler(data, fit_scaler(data))
     del data
     embedded = embed_lags(scaled, LagSpec(d))
@@ -245,8 +245,13 @@ def cmd_fit(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     if not args.validation_csvs:
         raise ConfigError("at least one validation CSV is required")
+    base = Path(args.report_out)
+    try:  # before any work: "", "." and "/" name no file to give a suffix
+        csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    except ValueError:
+        raise SensorDiagError(f"--report-out {args.report_out!r}: empty file name") from None
     model = load_model(args.model)
-    runs = [_read_for_model(p, model, cfg) for p in args.validation_csvs]
+    runs = [_read_for_model(p, model) for p in args.validation_csvs]
     sw = cfg["sweep"]
     target = sw["target_sensor"]
     if not 0 <= target < model.n:
@@ -292,9 +297,6 @@ def cmd_eval(args, cfg: dict) -> int:
         raise ConfigError(f"{key}: {exc}") from None
     report.metadata["config"] = cfg
     report.metadata["validation_files"] = [str(p) for p in args.validation_csvs]
-    base = Path(args.report_out)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
     report.to_csv(csv_path)
     report.to_json(json_path)
     print(f"report written: {csv_path} {json_path}")
@@ -305,7 +307,7 @@ def cmd_eval(args, cfg: dict) -> int:
 @np.errstate(over="ignore", invalid="ignore")  # scoring rejects an overflow
 def cmd_monitor(args, cfg: dict) -> int:
     model = load_model(args.csv_model)
-    raw = _read_for_model(args.csv, model, cfg)
+    raw = _read_for_model(args.csv, model)
     tag = IsolationMethod(
         ContributionMethod(cfg["monitor"]["method"]),
         DetectionIndex(cfg["monitor"]["index"]),

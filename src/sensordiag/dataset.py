@@ -33,7 +33,6 @@ __all__ = [
     "ScaledDataset",
     "fit_scaler",
     "apply_scaler",
-    "inverse_scaler",
     "embed_lags",
     "read_raw_csv",
     "write_raw_csv",
@@ -50,13 +49,10 @@ class RawDataset:
         One row per sample, one column per sensor. All values finite.
     sensor_names : tuple of str
         Unique column labels, length n.
-    sample_period_s : float
-        Seconds between consecutive rows.
     """
 
     samples: np.ndarray
     sensor_names: tuple[str, ...]
-    sample_period_s: float = 0.1
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -74,8 +70,6 @@ class RawDataset:
             raise ValueError(f"{len(names)} sensor names for {n} columns")
         if len(set(names)) != n:
             raise ValueError("sensor names must be unique")
-        if not (self.sample_period_s > 0):
-            raise ValueError("sample_period_s must be positive")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sensor_names", names)
 
@@ -130,12 +124,13 @@ class ScaledDataset:
     After :func:`embed_lags` the columns are the lag-extended variables; the
     scaler is then the per-column statistics of the extended layout and
     ``lag_depth`` records the embedding depth (0 for plain data).
+    ``sensor_names`` always holds the ``n`` physical names: column
+    ``L*n + i`` is sensor ``i`` at lag ``L``.
     """
 
     samples: np.ndarray
     scaler: ScalerParams
     sensor_names: tuple[str, ...]
-    sample_period_s: float = 0.1
     lag_depth: int = 0
 
     def __post_init__(self):
@@ -145,28 +140,14 @@ class ScaledDataset:
         if samples.shape[1] != len(self.scaler):
             raise ValueError("scaler length does not match column count")
         names = tuple(str(s) for s in self.sensor_names)
-        if len(names) != samples.shape[1]:
-            raise ValueError("one name per column required")
+        if len(names) * (self.lag_depth + 1) != samples.shape[1]:
+            raise ValueError("one name per physical sensor required")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sensor_names", names)
 
     @property
     def m(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def n_base(self) -> int:
-        """Physical sensor count, before lag extension."""
-        return self.samples.shape[1] // (self.lag_depth + 1)
-
-    @property
-    def base_sensor_names(self) -> tuple[str, ...]:
-        """Physical sensor labels (lag suffixes stripped)."""
-        if self.lag_depth == 0:
-            return self.sensor_names
-        return tuple(
-            name.rsplit("@lag", 1)[0] for name in self.sensor_names[: self.n_base]
-        )
 
 
 def fit_scaler(data: RawDataset) -> ScalerParams:
@@ -210,13 +191,7 @@ def apply_scaler(data: RawDataset, scaler: ScalerParams) -> ScaledDataset:
         samples=z,
         scaler=scaler,
         sensor_names=data.sensor_names,
-        sample_period_s=data.sample_period_s,
     )
-
-
-def inverse_scaler(data: ScaledDataset) -> np.ndarray:
-    """Map standardized samples back to physical units (``z * std + mean``)."""
-    return data.samples * data.scaler.std + data.scaler.mean
 
 
 def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
@@ -225,8 +200,8 @@ def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
     Row ``k`` of the output (0-based, ``k = 0 .. m-d-1``) corresponds to
     source time ``k + d`` and reads ``[x(k+d), x(k+d-1), ..., x(k)]``, i.e.
     lag-0 block first. The output therefore has ``m - d`` rows and
-    ``n*(d+1)`` columns; values are copied, never recomputed. Extended
-    column names are ``<sensor>@lag<L>``.
+    ``n*(d+1)`` columns; values are copied, never recomputed. The sensor
+    names pass through unchanged.
 
     Raises
     ------
@@ -242,11 +217,8 @@ def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
     # One strided copy: the window axis is reversed so lag 0 comes first.
     windows = sliding_window_view(data.samples, d + 1, axis=0)[:, :, ::-1]
     out = np.array(windows.transpose(0, 2, 1), order="C").reshape(m - d, n * (d + 1))
-    names, scaler = data.sensor_names, data.scaler
+    scaler = data.scaler
     if d:
-        names = tuple(
-            f"{name}@lag{lag}" for lag in range(d + 1) for name in data.sensor_names
-        )
         scaler = ScalerParams(
             mean=np.tile(data.scaler.mean, d + 1),
             std=np.tile(data.scaler.std, d + 1),
@@ -254,8 +226,7 @@ def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
     return ScaledDataset(
         samples=out,
         scaler=scaler,
-        sensor_names=names,
-        sample_period_s=data.sample_period_s,
+        sensor_names=data.sensor_names,
         lag_depth=d,
     )
 
@@ -301,7 +272,7 @@ def _read_rows(path: Path, n: int) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, n)
 
 
-def read_raw_csv(path: str | Path, sample_period_s: float = 0.1) -> RawDataset:
+def read_raw_csv(path: str | Path) -> RawDataset:
     """Read a strict CSV: header row of sensor names, body of finite floats.
 
     Any missing, empty, or non-finite cell is a hard error naming its line
@@ -342,7 +313,6 @@ def read_raw_csv(path: str | Path, sample_period_s: float = 0.1) -> RawDataset:
     return RawDataset(
         samples=samples,
         sensor_names=tuple(names),
-        sample_period_s=sample_period_s,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 
-__all__ = ["EbfParams", "EbfState", "ebf_step", "ebf_decide", "ebf_reset", "filter_stream"]
+__all__ = ["EbfParams", "EbfState", "ebf_step", "ebf_decide", "filter_stream"]
 
 # Makes threshold comparisons follow exact decimal arithmetic: accumulated
 # float evidence can land one ulp below an exactly-reachable boundary, and
@@ -84,11 +84,6 @@ def ebf_decide(state: EbfState, params: EbfParams) -> int | None:
     if state.s[top] >= params.decision_threshold - _DECISION_TOL:
         return top
     return None
-
-
-def ebf_reset(state: EbfState) -> EbfState:
-    """Zeroed evidence, step counter back to 0."""
-    return EbfState.fresh(state.s.shape[0])
 
 
 def filter_stream(winners, n_sensors: int, params: EbfParams) -> np.ndarray:

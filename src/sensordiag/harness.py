@@ -87,7 +87,6 @@ class SimConfig:
     ar2: np.ndarray
     mixing: np.ndarray
     noise_std: float = 1.0
-    sample_period_s: float = 0.1
 
     def __post_init__(self):
         n = self.n_sensors
@@ -206,9 +205,7 @@ def simulate(config: SimConfig) -> RawDataset:
         y[t] = config.ar1 @ y[t - 1] + config.ar2 @ y[t - 2] + noise[t]
     x = y[_BURN_IN:] @ config.mixing.T
     names = tuple(f"s{i + 1}" for i in range(n))
-    return RawDataset(
-        samples=x, sensor_names=names, sample_period_s=config.sample_period_s
-    )
+    return RawDataset(samples=x, sensor_names=names)
 
 
 def inject_fault(data: RawDataset, fault: FaultSpec) -> RawDataset:
@@ -233,7 +230,6 @@ def inject_fault(data: RawDataset, fault: FaultSpec) -> RawDataset:
     return RawDataset(
         samples=samples,
         sensor_names=data.sensor_names,
-        sample_period_s=data.sample_period_s,
     )
 
 
@@ -370,7 +366,6 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
     column = RawDataset(
         run.samples[:, target : target + 1],
         (run.sensor_names[target],),
-        run.sample_period_s,
     )
     base = model.base_scaler
     column_scaler = ScalerParams(base.mean[target : target + 1], base.std[target : target + 1])

@@ -41,7 +41,6 @@ __all__ = [
     "ContributionVector",
     "FaultEstimate",
     "direction",
-    "direction_matrix",
     "contributions",
     "contribution_matrix",
     "isolate",
@@ -115,11 +114,6 @@ def direction(model: "PcaModel", sensor: int) -> np.ndarray:
     u = np.zeros(model.n_e)
     u[sensor :: model.n] = 1.0
     return u
-
-
-def direction_matrix(model: "PcaModel") -> np.ndarray:
-    """All candidate directions stacked as columns, shape (n_e, n)."""
-    return np.tile(np.eye(model.n), (model.d + 1, 1))
 
 
 def _kernel(model: "PcaModel", tag: IsolationMethod) -> np.ndarray:

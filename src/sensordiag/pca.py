@@ -269,10 +269,10 @@ def fit_pca(
         lambda_hat=w[:l],
         lambda_tilde=w[l:],
         l=l,
-        n=data.n_base,
+        n=len(data.sensor_names),
         d=data.lag_depth,
         scaler=data.scaler,
-        sensor_names=data.base_sensor_names,
+        sensor_names=data.sensor_names,
         variance_fraction=float(variance_fraction),
         alpha=float(alpha),
         spe_limit=np.nan,

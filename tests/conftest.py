@@ -19,7 +19,6 @@ from sensordiag import (
     ScalerParams,
     apply_scaler,
     direction,
-    direction_matrix,
     embed_lags,
     fit_pca,
     fit_scaler,
@@ -218,9 +217,20 @@ def oracle_kernel(model: PcaModel, method, index) -> np.ndarray:
     return model.d_sqrt if method is ContributionMethod.CP else model.d_mat
 
 
+def oracle_direction_matrix(model: PcaModel) -> np.ndarray:
+    """All candidate directions stacked as columns, shape ``(n_e, n)``: the
+    identity tiled once per lag block."""
+    return np.tile(np.eye(model.n), (model.d + 1, 1))
+
+
+def oracle_inverse_scaler(data: ScaledDataset) -> np.ndarray:
+    """Standardized samples mapped back to physical units, ``z * std + mean``."""
+    return data.samples * data.scaler.std + data.scaler.mean
+
+
 def oracle_denominators(model: PcaModel, kernel: np.ndarray) -> np.ndarray:
     """``diag(UᵀKU)`` from the full ``n_e x n`` direction matrix."""
-    u = direction_matrix(model)
+    u = oracle_direction_matrix(model)
     return np.einsum("ji,jk,ki->i", u, kernel, u)
 
 
@@ -290,7 +300,7 @@ def oracle_faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes
         yield oracle_prepare_run(model, run, FaultSpec(target, amplitude, onset))
 
 
-def oracle_read_raw_csv(path, sample_period_s: float = 0.1) -> RawDataset:
+def oracle_read_raw_csv(path) -> RawDataset:
     """Row-by-row reader: ``float()`` on each cell, checks in line order."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -323,7 +333,6 @@ def oracle_read_raw_csv(path, sample_period_s: float = 0.1) -> RawDataset:
     return RawDataset(
         samples=np.array(rows, dtype=float),
         sensor_names=tuple(names),
-        sample_period_s=sample_period_s,
     )
 
 

@@ -901,6 +901,18 @@ class TestOneLineErrors:
         assert_one_data_error(proc, "data error: direction of sensor 0 is degenerate")
         assert not list(tmp_path.glob("report.*"))
 
+    @pytest.mark.parametrize("report_out", ["", ".", "/"])
+    def test_eval_report_out_without_a_file_name(self, tmp_path, workspace, report_out):
+        args = ["eval", str(workspace["model"]), *map(str, workspace["validation"])]
+        proc = run_cli(["--config", workspace["config"], *args, "--report-out", report_out], tmp_path)
+        assert_one_data_error(proc, f"data error: --report-out {report_out!r}: empty file name")
+        assert not list(tmp_path.iterdir())
+
+    def test_eval_report_out_checked_before_the_model_is_read(self, tmp_path, workspace):
+        args = ["eval", str(tmp_path / "missing.json"), str(workspace["validation"][0])]
+        proc = run_cli(["--config", workspace["config"], *args, "--report-out", ""], tmp_path)
+        assert_one_data_error(proc, "data error: --report-out '': empty file name")
+
     def test_fit_on_too_few_rows_exit_3(self, tmp_path, workspace):
         # one embedded row at lag_depth 1 has no covariance estimate
         train = tmp_path / "train.csv"

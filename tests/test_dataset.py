@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from sensordiag import (
     LagSpec,
     RawDataset,
+    ScaledDataset,
     ScalerParams,
     apply_scaler,
     embed_lags,
     fit_scaler,
-    inverse_scaler,
     read_raw_csv,
     write_raw_csv,
 )
@@ -24,7 +24,7 @@ from sensordiag.errors import (
     ZeroVarianceColumn,
 )
 from sensordiag.dataset import _CSV_CHUNK_ROWS
-from conftest import make_raw, oracle_read_raw_csv, oracle_write_raw_csv
+from conftest import make_raw, oracle_inverse_scaler, oracle_read_raw_csv, oracle_write_raw_csv
 
 
 def raw_from(*rows, names=None):
@@ -83,7 +83,7 @@ class TestApplyScaler:
     def test_round_trip_inverse(self):
         raw = make_raw(n=5, m=100, seed=2)
         scaled = apply_scaler(raw, fit_scaler(raw))
-        back = inverse_scaler(scaled)
+        back = oracle_inverse_scaler(scaled)
         np.testing.assert_allclose(back, raw.samples, rtol=1e-12)
 
     def test_self_standardization(self):
@@ -109,8 +109,8 @@ class TestEmbedLags:
         )
         out = embed_lags(scaled, LagSpec(1))
         np.testing.assert_array_equal(out.samples, [r2 + r1, r3 + r2])
-        assert out.sensor_names == ("s1@lag0", "s2@lag0", "s1@lag1", "s2@lag1")
-        assert out.base_sensor_names == ("s1", "s2")
+        assert out.sensor_names == ("s1", "s2")
+        assert out.lag_depth == 1
 
     def test_lag_too_large(self):
         raw = make_raw(n=2, m=3)
@@ -184,6 +184,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             LagSpec(-1)
 
+    def test_scaled_names_count_physical_sensors(self):
+        # four columns at lag depth 1 hold two sensors; one name per column is wrong too
+        scaler = ScalerParams(np.zeros(4), np.ones(4))
+        for names in (("a",), ("a", "b", "c"), ("a", "b", "c", "d")):
+            with pytest.raises(ValueError, match="one name per physical sensor"):
+                ScaledDataset(np.zeros((3, 4)), scaler, names, lag_depth=1)
+        assert ScaledDataset(np.zeros((3, 4)), scaler, ("a", "b"), lag_depth=1).sensor_names == ("a", "b")
+
 
 # Each malformed body and the message after "<path>" that it must raise.
 MALFORMED = {
@@ -209,7 +217,7 @@ class TestCsv:
         raw = make_raw(n=3, m=25, seed=5)
         path = tmp_path / "data.csv"
         write_raw_csv(raw, path)
-        back = read_raw_csv(path, sample_period_s=raw.sample_period_s)
+        back = read_raw_csv(path)
         np.testing.assert_array_equal(back.samples, raw.samples)
         assert back.sensor_names == raw.sensor_names
 

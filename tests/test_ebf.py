@@ -11,7 +11,6 @@ from sensordiag import (
     EbfParams,
     EbfState,
     ebf_decide,
-    ebf_reset,
     ebf_step,
     filter_stream,
 )
@@ -161,15 +160,10 @@ class TestDecide:
 
 
 class TestReset:
-    def test_reset_then_decide_none(self):
-        state = EbfState(s=np.array([0.9, 0.4]), k=123)
-        assert ebf_decide(ebf_reset(state), EbfParams()) is None
+    """A filter is reset by starting a fresh state."""
 
-    def test_reset_idempotent(self):
-        state = ebf_reset(EbfState(s=np.array([0.9, 0.4]), k=7))
-        again = ebf_reset(state)
-        np.testing.assert_array_equal(state.s, again.s)
-        assert again.k == 0
+    def test_reset_then_decide_none(self):
+        assert ebf_decide(EbfState.fresh(2), EbfParams()) is None
 
     def test_reset_after_saturation(self):
         params = EbfParams()
@@ -177,7 +171,9 @@ class TestReset:
         for _ in range(300):
             state = ebf_step(state, 0, params)
         assert state.s[0] == 1.0
-        np.testing.assert_array_equal(ebf_reset(state).s, np.zeros(2))
+        fresh = EbfState.fresh(state.s.shape[0])
+        np.testing.assert_array_equal(fresh.s, np.zeros(2))
+        assert fresh.k == 0 and ebf_decide(fresh, params) is None
 
 
 class TestFilterStream:

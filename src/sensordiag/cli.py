@@ -11,8 +11,6 @@ and every error is reported as one ``data error:`` or ``config error:`` line.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import signal
 import sys
 import warnings
@@ -22,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonin import integer, list_of, read_object, real
 from .dataset import LagSpec, apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
 from .detection import _row_blocks, spe, t2
 from .ebf import EbfParams, EbfState, ebf_decide, ebf_step
@@ -44,23 +43,6 @@ from .pca import fit_pca, load_model, save_model
 _METHODS, _INDICES = ("cp", "rbc"), ("spe", "t2")
 
 
-def _real(value) -> bool:
-    """JSON number that converts to a finite float; ``bool`` is not a number."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
-def _int(value, lo: int, hi: float = math.inf) -> bool:
-    """JSON integer in ``[lo, hi]``; ``bool`` is not an integer."""
-    return type(value) is int and lo <= value <= hi
-
-
-def _list_of(value, check) -> bool:
-    return isinstance(value, list) and len(value) > 0 and all(map(check, value))
-
-
 def _variant(item) -> bool:
     return (
         isinstance(item, dict)
@@ -78,16 +60,16 @@ def _variant(item) -> bool:
 # the sweep grid. lag_depth has no bound: its cost scales with the input CSV,
 # which no config bounds.
 _SCHEMA: dict = {
-    "sample_period_s": (0.1, lambda v: _real(v) and v > 0, "a positive number"),
-    "variance_fraction": (0.98, lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "alpha": (0.01, lambda v: _real(v) and 0 < v < 1, "a number in (0, 1)"),
-    "lag_depth": (10, lambda v: _int(v, 0), "a non-negative integer"),
+    "sample_period_s": (0.1, lambda v: real(v) and v > 0, "a positive number"),
+    "variance_fraction": (0.98, lambda v: real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "alpha": (0.01, lambda v: real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "lag_depth": (10, lambda v: integer(v, 0), "a non-negative integer"),
     "ebf": {
-        "reward": (0.01, _real, "a number"),
-        "penalty": (-0.005, _real, "a number"),
-        "decision_threshold": (0.2, _real, "a number"),
-        "upper_sat": (1.0, _real, "a number"),
-        "lower_sat": (0.0, _real, "a number"),
+        "reward": (0.01, real, "a number"),
+        "penalty": (-0.005, real, "a number"),
+        "decision_threshold": (0.2, real, "a number"),
+        "upper_sat": (1.0, real, "a number"),
+        "lower_sat": (0.0, real, "a number"),
     },
     "monitor": {
         "method": ("rbc", lambda v: v in _METHODS, "cp|rbc"),
@@ -95,29 +77,29 @@ _SCHEMA: dict = {
         "gate_on_detection": (False, lambda v: type(v) is bool, "a boolean"),
     },
     "sweep": {
-        "target_sensor": (0, lambda v: _int(v, 0), "a non-negative integer"),
-        "grid_points": (100, lambda v: _int(v, 1, 10_000), "an integer in [1, 10000]"),
+        "target_sensor": (0, lambda v: integer(v, 0), "a non-negative integer"),
+        "grid_points": (100, lambda v: integer(v, 1, 10_000), "an integer in [1, 10000]"),
         "max_amplitude": (
-            None, lambda v: v is None or (_real(v) and v > 0), "null or a positive number"
+            None, lambda v: v is None or (real(v) and v > 0), "null or a positive number"
         ),
         "amplitudes": (
-            None, lambda v: v is None or _list_of(v, _real), "null or a non-empty list of numbers"
+            None, lambda v: v is None or list_of(v, real), "null or a non-empty list of numbers"
         ),
-        "onset_k": (None, lambda v: v is None or _int(v, 0), "null or a non-negative integer"),
+        "onset_k": (None, lambda v: v is None or integer(v, 0), "null or a non-negative integer"),
         "variants": (
             None,
-            lambda v: v is None or _list_of(v, _variant),
+            lambda v: v is None or list_of(v, _variant),
             'null or a non-empty list of {"method": cp|rbc, "index": spe|t2, "ebf": bool}',
         ),
     },
     "simulate": {
-        "n_sensors": (8, lambda v: _int(v, 1, 32), "an integer in [1, 32]"),
-        "m_train": (20000, lambda v: _int(v, 1, 1_000_000), "an integer in [1, 1000000]"),
-        "m_validation": (5000, lambda v: _int(v, 1, 1_000_000), "an integer in [1, 1000000]"),
-        "n_validation_runs": (4, lambda v: _int(v, 1, 1000), "an integer in [1, 1000]"),
-        "seed": (1, lambda v: _int(v, 0), "a non-negative integer"),
-        "structure_seed": (118, lambda v: _int(v, 0), "a non-negative integer"),
-        "noise_std": (1.0, lambda v: _real(v) and v >= 0, "a non-negative number"),
+        "n_sensors": (8, lambda v: integer(v, 1, 32), "an integer in [1, 32]"),
+        "m_train": (20000, lambda v: integer(v, 1, 1_000_000), "an integer in [1, 1000000]"),
+        "m_validation": (5000, lambda v: integer(v, 1, 1_000_000), "an integer in [1, 1000000]"),
+        "n_validation_runs": (4, lambda v: integer(v, 1, 1000), "an integer in [1, 1000]"),
+        "seed": (1, lambda v: integer(v, 0), "a non-negative integer"),
+        "structure_seed": (118, lambda v: integer(v, 0), "a non-negative integer"),
+        "noise_std": (1.0, lambda v: real(v) and v >= 0, "a non-negative number"),
     },
 }
 
@@ -156,19 +138,7 @@ _JSON_BOOL = ("false", "true")
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the user file; unknown keys and invalid values
     are rejected."""
-    user = {}
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except UnicodeDecodeError:
-            raise ConfigError(f"config file {path}: not UTF-8 text") from None
-        except (OSError, ValueError, RecursionError) as exc:
-            # JSONDecodeError, an over-long integer, deep nesting, a directory
-            raise ConfigError(f"config file {path}: {exc}") from None
-        if not isinstance(user, dict):
-            raise ConfigError("config file must hold a JSON object")
+    user = {} if path is None else read_object(path, ConfigError, f"config file {path}")
     cfg = _resolve(_SCHEMA, user)
     try:
         _ebf_params(cfg)
@@ -246,10 +216,9 @@ def cmd_eval(args, cfg: dict) -> int:
     if not args.validation_csvs:
         raise ConfigError("at least one validation CSV is required")
     base = Path(args.report_out)
-    try:  # before any work: "", "." and "/" name no file to give a suffix
-        csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
-    except ValueError:
-        raise SensorDiagError(f"--report-out {args.report_out!r}: empty file name") from None
+    if base.name in ("", ".."):  # before any work: "", ".", "/" and ".." name no file
+        raise SensorDiagError(f"--report-out {args.report_out!r}: empty file name")
+    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
     model = load_model(args.model)
     runs = [_read_for_model(p, model) for p in args.validation_csvs]
     sw = cfg["sweep"]

@@ -12,7 +12,6 @@ empirical control limits for the two detection indices.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonin import integer, list_of, read_object, real
 from .dataset import ScaledDataset, ScalerParams
 from .errors import (
     CorruptModelFile,
@@ -322,97 +322,73 @@ def save_model(model: PcaModel, path: str | Path) -> None:
     )
 
 
-_REQUIRED_KEYS = {
-    "schema_version",
-    "n",
-    "d",
-    "l",
-    "alpha",
-    "variance_fraction",
-    "sensor_names",
-    "scaler",
-    "p_hat",
-    "p_tilde",
-    "lambda_hat",
-    "lambda_tilde",
-    "spe_limit",
-    "t2_limit",
+# Every model key in file order: (check, what the value must be), or None
+# for the version, gated first, and for the scaler and the arrays, whose
+# shapes and values PcaModel and the invariant checks below test.
+_FIELDS: dict = {
+    "schema_version": None,
+    "n": (integer, "a JSON integer"),
+    "d": (integer, "a JSON integer"),
+    "l": (integer, "a JSON integer"),
+    "alpha": (lambda v: real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "variance_fraction": (lambda v: real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "sensor_names": (
+        lambda v: list_of(v, lambda s: type(s) is str) and len(set(v)) == len(v),
+        "a list of unique strings",
+    ),
+    "scaler": None,
+    "p_hat": None,
+    "p_tilde": None,
+    "lambda_hat": None,
+    "lambda_tilde": None,
+    # 0.0 is a valid limit: a fit that keeps every component has SPE == 0.
+    "spe_limit": (lambda v: real(v) and v >= 0, "a finite non-negative number"),
+    "t2_limit": (lambda v: real(v) and v >= 0, "a finite non-negative number"),
 }
 
 
 def load_model(path: str | Path) -> PcaModel:
     """Load a model saved by :func:`save_model`, validating shape consistency."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        # also bad UTF-8, an over-long integer and deep nesting
-        raise CorruptModelFile(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise CorruptModelFile(f"{path}: top-level JSON object expected")
+    raw = read_object(path, CorruptModelFile, str(path))
     version = raw.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
+    if not integer(version, MODEL_SCHEMA_VERSION, MODEL_SCHEMA_VERSION):  # not true or 1.0
         raise SchemaVersionMismatch(
             f"{path}: schema version {version!r}, expected {MODEL_SCHEMA_VERSION}"
         )
-    missing = _REQUIRED_KEYS - raw.keys()
+    missing = _FIELDS.keys() - raw.keys()
     if missing:
         raise CorruptModelFile(f"{path}: missing keys {sorted(missing)}")
-    unknown = raw.keys() - _REQUIRED_KEYS
+    unknown = raw.keys() - _FIELDS.keys()
     if unknown:
         raise CorruptModelFile(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("n", "d", "l"):
-        if type(raw[key]) is not int:  # "8", 8.5 and true are not counts
-            raise CorruptModelFile(f"{path}: {key} must be a JSON integer, got {raw[key]!r}")
+    for key, field in _FIELDS.items():
+        if field is not None and not field[0](raw[key]):
+            raise CorruptModelFile(f"{path}: {key} must be {field[1]}, got {raw[key]!r}")
     n, d, l = raw["n"], raw["d"], raw["l"]
-    n_e = n * (d + 1)
-    if n < 1 or d < 0 or not 0 <= l <= n_e:
+    if n < 1 or d < 0 or not 0 <= l <= n * (d + 1):
         raise CorruptModelFile(f"{path}: counts out of range: n={n}, d={d}, l={l}")
-    # 0.0 is a valid limit: a fit that keeps every component has SPE == 0.
-    for key, valid, wanted in (
-        ("spe_limit", lambda v: v >= 0, "a finite non-negative number"),
-        ("t2_limit", lambda v: v >= 0, "a finite non-negative number"),
-        ("alpha", lambda v: 0 < v < 1, "a number in (0, 1)"),
-        ("variance_fraction", lambda v: 0 < v <= 1, "a number in (0, 1]"),
-    ):
-        value = raw[key]
-        try:
-            ok = type(value) in (int, float) and math.isfinite(value) and valid(value)
-        except OverflowError:  # an integer too large for a float
-            ok = False
-        if not ok:
-            raise CorruptModelFile(f"{path}: {key} must be {wanted}, got {value!r}")
-    names = raw["sensor_names"]
-    if (
-        type(names) is not list
-        or not all(type(name) is str for name in names)
-        or len(set(names)) != len(names)
-    ):
-        raise CorruptModelFile(f"{path}: sensor_names must be a list of unique strings")
+    scaler = raw["scaler"]
+    if type(scaler) is not dict or scaler.keys() != {"mean", "std"}:  # printed without its arrays
+        raise CorruptModelFile(f'{path}: scaler must be an object with keys "mean" and "std" only')
     try:
-        scaler = ScalerParams(
-            mean=np.asarray(raw["scaler"]["mean"], dtype=float),
-            std=np.asarray(raw["scaler"]["std"], dtype=float),
-        )
-        p_hat = np.asarray(raw["p_hat"], dtype=float).reshape(n_e, l)
-        p_tilde = np.asarray(raw["p_tilde"], dtype=float).reshape(n_e, n_e - l)
         model = PcaModel(
-            p_hat=p_hat,
-            p_tilde=p_tilde,
-            lambda_hat=np.asarray(raw["lambda_hat"], dtype=float),
-            lambda_tilde=np.asarray(raw["lambda_tilde"], dtype=float),
+            p_hat=raw["p_hat"],
+            p_tilde=raw["p_tilde"],
+            lambda_hat=raw["lambda_hat"],
+            lambda_tilde=raw["lambda_tilde"],
             l=l,
             n=n,
             d=d,
-            scaler=scaler,
-            sensor_names=tuple(names),
+            scaler=ScalerParams(**scaler),
+            sensor_names=raw["sensor_names"],
             variance_fraction=float(raw["variance_fraction"]),
             alpha=float(raw["alpha"]),
             spe_limit=float(raw["spe_limit"]),
             t2_limit=float(raw["t2_limit"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CorruptModelFile(f"{path}: {exc}") from exc
-    if len(scaler) != n_e or len(model.sensor_names) != n:
+    if len(model.scaler) != model.n_e or len(model.sensor_names) != n:
         raise CorruptModelFile(f"{path}: inconsistent dimensions")
     for arr in (model.p_hat, model.p_tilde, model.lambda_hat, model.lambda_tilde):
         if not np.isfinite(arr).all():
@@ -421,7 +397,7 @@ def load_model(path: str | Path) -> PcaModel:
     # einsum, not a BLAS product: a fresh process's first multi-threaded gemm
     # can wait milliseconds for its worker threads, longer than this check.
     gram = np.einsum("ij,ik->jk", loadings, loadings)
-    if np.abs(gram - np.eye(n_e)).max() > _ORTHONORMAL_TOL:
+    if np.abs(gram - np.eye(model.n_e)).max() > _ORTHONORMAL_TOL:
         raise CorruptModelFile(f"{path}: loadings [p_hat p_tilde] are not orthonormal")
     spectrum = np.concatenate([model.lambda_hat, model.lambda_tilde])
     if (spectrum < 0).any() or (np.diff(spectrum) > 0).any():
@@ -429,7 +405,7 @@ def load_model(path: str | Path) -> PcaModel:
             f"{path}: eigenvalues must be non-negative and descending "
             "(lambda_hat, then lambda_tilde)"
         )
-    for part in (scaler.mean, scaler.std):
+    for part in (model.scaler.mean, model.scaler.std):
         if not np.array_equal(part, np.tile(part[:n], d + 1)):
             raise CorruptModelFile(
                 f"{path}: scaler is not its first {n} entries tiled {d + 1} times"

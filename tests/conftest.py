@@ -160,6 +160,14 @@ def _shift_scaler(part, delta):
     return tamper
 
 
+def _add_scaler_key(p):
+    p["scaler"]["var"] = p["scaler"]["std"]
+
+
+def _drop_scaler_std(p):
+    del p["scaler"]["std"]
+
+
 def _lift_lambda_tilde(p):
     # Each block stays descending, but the residual space now outranks the
     # smallest retained eigenvalue.
@@ -179,6 +187,8 @@ MODEL_DEFECTS = {
     "lambda_tilde_above_lambda_hat": (_lift_lambda_tilde, "non-negative and descending"),
     "scaler_mean_untiled": (_shift_scaler("mean", 5.0), "tiled"),
     "scaler_std_untiled": (_shift_scaler("std", 1.0), "tiled"),
+    "scaler_extra_key": (_add_scaler_key, "scaler must be"),
+    "scaler_missing_std": (_drop_scaler_std, "scaler must be"),
     "variance_fraction_7": (_set("variance_fraction", 7.0), "variance_fraction must be"),
     "variance_fraction_0": (_set("variance_fraction", 0.0), "variance_fraction must be"),
     "variance_fraction_string": (_set("variance_fraction", "0.9"), "variance_fraction must be"),

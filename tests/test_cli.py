@@ -442,6 +442,8 @@ class TestMonitor:
             "lambda_tilde_negative",
             "lambda_hat_swapped",
             "scaler_mean_untiled",
+            "scaler_extra_key",
+            "scaler_missing_std",
             "variance_fraction_7",
             "sensor_name_number",
             "nested_document",
@@ -772,6 +774,46 @@ class TestQuietConfigErrors:
         assert not list(tmp_path.glob("out*"))
 
 
+# What no JSON input may be (None: no file), each with the reason both
+# readers give (a directory's is the OS's message).
+UNREADABLE_JSON = [
+    (None, "file not found"),
+    ("directory", "Is a directory"),
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b"[1]", "top-level JSON object expected"),
+]
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    UNREADABLE_JSON,
+    ids=["missing", "directory", "not-utf8", "long-integer", "deep-nesting", "not-json", "array"],
+)
+def test_config_and_model_share_one_reader(tmp_path, workspace, capsys, content, reason):
+    """The same bytes, read as the config or as the model, fail with the
+    same reason, each under its own exit code and prefix."""
+    path = tmp_path / "input.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    csv = str(workspace["validation"][0])
+    capsys.readouterr()
+    assert main(["--config", str(path), "monitor", str(workspace["model"]), csv]) == 3
+    config = capsys.readouterr()
+    assert main(["--config", workspace["config"], "monitor", str(path), csv]) == 2
+    model = capsys.readouterr()
+    assert config.out == model.out == ""
+    config_prefix, model_prefix = f"config error: config file {path}: ", f"data error: {path}: "
+    assert config.err.startswith(config_prefix) and model.err.startswith(model_prefix)
+    assert config.err.count("\n") == model.err.count("\n") == 1
+    assert config.err[len(config_prefix) :] == model.err[len(model_prefix) :]
+    assert reason in model.err
+
+
 class TestTinyAmplitudes:
     """An amplitude so near zero that the error relative to it overflows,
     though every estimate is finite, is a config error naming the key that
@@ -901,7 +943,7 @@ class TestOneLineErrors:
         assert_one_data_error(proc, "data error: direction of sensor 0 is degenerate")
         assert not list(tmp_path.glob("report.*"))
 
-    @pytest.mark.parametrize("report_out", ["", ".", "/"])
+    @pytest.mark.parametrize("report_out", ["", ".", "/", "..", "sub/.."])
     def test_eval_report_out_without_a_file_name(self, tmp_path, workspace, report_out):
         args = ["eval", str(workspace["model"]), *map(str, workspace["validation"])]
         proc = run_cli(["--config", workspace["config"], *args, "--report-out", report_out], tmp_path)

@@ -217,6 +217,32 @@ class TestPersistence:
         with pytest.raises(SchemaVersionMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "string"])
+    def test_version_must_be_the_integer_one(self, ref2, tmp_path, version):
+        path = tmp_path / "model.json"
+        save_model(ref2, path)
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaVersionMismatch) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: schema version {version!r}, expected 1"
+
+    @pytest.mark.parametrize(
+        "scaler",
+        [[1.0], {"mean": [0.0]}, {"mean": [0.0], "std": [1.0], "var": [1.0]}],
+        ids=["list", "no-std", "extra-key"],
+    )
+    def test_scaler_must_hold_mean_and_std_only(self, ref2, tmp_path, scaler):
+        path = tmp_path / "model.json"
+        save_model(ref2, path)
+        payload = json.loads(path.read_text())
+        payload["scaler"] = scaler
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptModelFile) as err:
+            load_model(path)
+        assert str(err.value) == f'{path}: scaler must be an object with keys "mean" and "std" only'
+
     def test_unknown_key_rejected(self, ref2, tmp_path):
         path = tmp_path / "model.json"
         save_model(ref2, path)

@@ -1,7 +1,10 @@
 """Each layer module's ``__all__`` names only what it defines, and the
-package re-exports all of it, so ``from sensordiag.<module> import *`` works."""
+package re-exports all of it, so ``from sensordiag.<module> import *`` works.
+One module reads the JSON files that come from outside the program."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,16 @@ def test_removed_helpers_are_gone(name):
     for item in REMOVED:
         assert not hasattr(module, item)
         assert item not in getattr(module, "__all__", ())
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [r"\bjson\.loads?\(", r"\bexcept\b[^:\n]*\bOverflowError\b"],
+    ids=["json-load", "except-overflow"],
+)
+def test_one_json_reader(pattern):
+    """Only the reader module parses JSON or catches a float conversion's
+    overflow, so a second reader of the config or model files fails here."""
+    package = Path(sensordiag.__file__).parent
+    hits = [p.name for p in sorted(package.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
+    assert hits == ["_jsonin.py"]

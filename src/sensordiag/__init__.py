@@ -10,7 +10,6 @@ evaluation harness support end-to-end experiments.
 """
 
 from .dataset import (
-    LagSpec,
     RawDataset,
     ScaledDataset,
     ScalerParams,
@@ -53,17 +52,13 @@ from .isolation import (
     direction,
     estimate_fault,
     estimate_matrix,
-    isolate,
-    reconstruct,
 )
 from .pca import (
     PcaModel,
-    Projection,
     covariance,
     fit_pca,
     load_model,
     model_digest,
-    project,
     save_model,
 )
 

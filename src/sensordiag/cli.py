@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonin import integer, list_of, read_object, real
-from .dataset import LagSpec, apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
+from .dataset import apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
 from .detection import _row_blocks, spe, t2
 from .ebf import EbfParams, EbfState, ebf_decide, ebf_step
 from .errors import (
@@ -191,7 +191,7 @@ def cmd_fit(args, cfg: dict) -> int:
     data = read_raw_csv(args.train_csv)
     scaled = apply_scaler(data, fit_scaler(data))
     del data
-    embedded = embed_lags(scaled, LagSpec(d))
+    embedded = embed_lags(scaled, d)
     del scaled
     if embedded.m < 2:  # embed_lags leaves m - d rows; a covariance needs two
         raise ConfigError(
@@ -294,7 +294,7 @@ def cmd_monitor(args, cfg: dict) -> int:
     winner_all = np.empty(raw.m - d, dtype=np.min_scalar_type(-model.n))
     for blk in blocks:
         window = replace(raw, samples=raw.samples[blk.start : blk.stop + d])
-        z = embed_lags(apply_scaler(window, model.base_scaler), LagSpec(d)).samples
+        z = embed_lags(apply_scaler(window, model.scaler), d).samples
         spe_all[blk] = spe(model, z)
         t2_all[blk] = t2(model, z)
         winner_all[blk] = contribution_matrix(model, z, tag).argmax(axis=1)

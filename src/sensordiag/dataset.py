@@ -29,7 +29,6 @@ from .errors import (
 __all__ = [
     "RawDataset",
     "ScalerParams",
-    "LagSpec",
     "ScaledDataset",
     "fit_scaler",
     "apply_scaler",
@@ -106,26 +105,13 @@ class ScalerParams:
 
 
 @dataclass(frozen=True)
-class LagSpec:
-    """Number of delayed sample blocks appended to each observation."""
-
-    d: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 0:
-            raise ValueError(f"lag depth must be a non-negative integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-
-
-@dataclass(frozen=True)
 class ScaledDataset:
     """Standardized samples together with the scaler that produced them.
 
-    After :func:`embed_lags` the columns are the lag-extended variables; the
-    scaler is then the per-column statistics of the extended layout and
+    After :func:`embed_lags` the columns are the lag-extended variables and
     ``lag_depth`` records the embedding depth (0 for plain data).
-    ``sensor_names`` always holds the ``n`` physical names: column
-    ``L*n + i`` is sensor ``i`` at lag ``L``.
+    ``scaler`` and ``sensor_names`` always hold the ``n`` physical sensors:
+    column ``L*n + i`` is sensor ``i`` at lag ``L``.
     """
 
     samples: np.ndarray
@@ -137,11 +123,11 @@ class ScaledDataset:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2:
             raise ValueError("samples must be 2-D")
-        if samples.shape[1] != len(self.scaler):
-            raise ValueError("scaler length does not match column count")
         names = tuple(str(s) for s in self.sensor_names)
         if len(names) * (self.lag_depth + 1) != samples.shape[1]:
             raise ValueError("one name per physical sensor required")
+        if len(self.scaler) != len(names):
+            raise ValueError("scaler length does not match sensor count")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sensor_names", names)
 
@@ -194,38 +180,36 @@ def apply_scaler(data: RawDataset, scaler: ScalerParams) -> ScaledDataset:
     )
 
 
-def embed_lags(data: ScaledDataset, lags: LagSpec) -> ScaledDataset:
+def embed_lags(data: ScaledDataset, d: int) -> ScaledDataset:
     """Stack each sample with its ``d`` predecessors into one wide row.
 
     Row ``k`` of the output (0-based, ``k = 0 .. m-d-1``) corresponds to
     source time ``k + d`` and reads ``[x(k+d), x(k+d-1), ..., x(k)]``, i.e.
     lag-0 block first. The output therefore has ``m - d`` rows and
-    ``n*(d+1)`` columns; values are copied, never recomputed. The sensor
-    names pass through unchanged.
+    ``n*(d+1)`` columns; values are copied, never recomputed. The scaler
+    and the sensor names pass through unchanged.
 
     Raises
     ------
+    ValueError
+        If ``d`` is not a non-negative integer.
     LagTooLarge
         If ``d >= m`` (no row has enough history).
     """
+    if not isinstance(d, (int, np.integer)) or d < 0:
+        raise ValueError(f"lag depth must be a non-negative integer, got {d!r}")
+    d = int(d)  # the model file stores it, and json.dumps rejects np.int64
     if data.lag_depth != 0:
         raise ValueError("data is already lag-extended")
-    d = lags.d
     m, n = data.samples.shape
     if d >= m:
         raise LagTooLarge(f"lag depth {d} requires more than {m} samples")
     # One strided copy: the window axis is reversed so lag 0 comes first.
     windows = sliding_window_view(data.samples, d + 1, axis=0)[:, :, ::-1]
     out = np.array(windows.transpose(0, 2, 1), order="C").reshape(m - d, n * (d + 1))
-    scaler = data.scaler
-    if d:
-        scaler = ScalerParams(
-            mean=np.tile(data.scaler.mean, d + 1),
-            std=np.tile(data.scaler.std, d + 1),
-        )
     return ScaledDataset(
         samples=out,
-        scaler=scaler,
+        scaler=data.scaler,
         sensor_names=data.sensor_names,
         lag_depth=d,
     )

@@ -48,16 +48,15 @@ class EbfParams:
 
 @dataclass(frozen=True)
 class EbfState:
-    """Per-sensor evidence levels after ``k`` filter steps."""
+    """Per-sensor evidence levels."""
 
     s: np.ndarray
-    k: int = 0
 
     @classmethod
     def fresh(cls, n_sensors: int) -> "EbfState":
         if n_sensors < 1:
             raise ValueError("need at least one sensor")
-        return cls(s=np.zeros(n_sensors), k=0)
+        return cls(s=np.zeros(n_sensors))
 
 
 def ebf_step(state: EbfState, winner: int, params: EbfParams) -> EbfState:
@@ -71,7 +70,7 @@ def ebf_step(state: EbfState, winner: int, params: EbfParams) -> EbfState:
     # would differ from it where a sum ties a saturation bound of opposite
     # zero sign.
     s.clip(params.lower_sat, params.upper_sat, out=s)
-    return EbfState(s=s, k=state.k + 1)
+    return EbfState(s=s)
 
 
 def ebf_decide(state: EbfState, params: EbfParams) -> int | None:

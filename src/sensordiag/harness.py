@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LagSpec, RawDataset, ScalerParams, apply_scaler, embed_lags
+from .dataset import RawDataset, ScalerParams, apply_scaler, embed_lags
 from .ebf import EbfParams, filter_stream
 from .errors import (
     AmplitudeOverflow,
@@ -348,7 +348,7 @@ def _prepare_run(run: RawDataset, fault: FaultSpec, scaler: ScalerParams, d: int
     start = max(0, fault.onset_k - d)
     lo = min(start, run.m - 2)  # a dataset holds at least two rows
     tail = replace(faulty, samples=faulty.samples[lo:])
-    return embed_lags(apply_scaler(tail, scaler), LagSpec(d)).samples[start - lo :]
+    return embed_lags(apply_scaler(tail, scaler), d).samples[start - lo :]
 
 
 def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int):
@@ -367,13 +367,13 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
         run.samples[:, target : target + 1],
         (run.sensor_names[target],),
     )
-    base = model.base_scaler
-    column_scaler = ScalerParams(base.mean[target : target + 1], base.std[target : target + 1])
+    scaler = model.scaler
+    column_scaler = ScalerParams(scaler.mean[target : target + 1], scaler.std[target : target + 1])
     z = None
     for amplitude in amplitudes:
         fault = FaultSpec(sensor=target, amplitude=amplitude, onset_k=onset)
         if z is None:
-            z = _prepare_run(run, fault, base, model.d)
+            z = _prepare_run(run, fault, scaler, model.d)
         else:
             z[:, target :: model.n] = _prepare_run(
                 column, replace(fault, sensor=0), column_scaler, model.d

@@ -43,10 +43,8 @@ __all__ = [
     "direction",
     "contributions",
     "contribution_matrix",
-    "isolate",
     "estimate_fault",
     "estimate_matrix",
-    "reconstruct",
 ]
 
 _DEGENERATE_TOL = 1e-12
@@ -94,7 +92,7 @@ class FaultEstimate:
     """Reconstructed single-sensor fault amplitude.
 
     ``amplitude_scaled`` is in standardized units; ``amplitude`` converts to
-    the sensor's physical units via its (lag-0) scaler std.
+    the sensor's physical units via its scaler std.
     """
 
     sensor: int
@@ -185,11 +183,6 @@ def contributions(
     )
 
 
-def isolate(model: "PcaModel", x: np.ndarray, method_tag: IsolationMethod) -> int:
-    """Sensor index with the largest score (lowest index on ties)."""
-    return contributions(model, x, method_tag).winner
-
-
 def estimate_matrix(
     model: "PcaModel",
     x: np.ndarray,
@@ -231,20 +224,3 @@ def estimate_fault(
         amplitude=f * float(model.scaler.std[sensor]),
         amplitude_scaled=f,
     )
-
-
-def reconstruct(
-    model: "PcaModel",
-    x: np.ndarray,
-    sensor: int,
-    index: DetectionIndex = DetectionIndex.SPE,
-) -> np.ndarray:
-    """Sample with the optimal single-sensor correction removed.
-
-    The corrected sample never scores a larger index value than the input;
-    equality holds exactly when the sample has no component along the
-    sensor's direction in the index kernel.
-    """
-    x = np.asarray(x, dtype=float)
-    est = estimate_fault(model, x, sensor, index)
-    return x - direction(model, sensor) * est.amplitude_scaled

@@ -1,4 +1,4 @@
-"""Principal-component model fitting, projections, and persistence.
+"""Principal-component model fitting, projectors, and persistence.
 
 The model is fitted on standardized (optionally lag-extended) training data:
 the sample covariance is eigendecomposed, the leading ``l`` eigenvectors
@@ -6,7 +6,9 @@ span the principal subspace and the remainder the residual subspace. ``l``
 is the smallest count whose eigenvalues explain at least the requested
 variance fraction. The fitted model is the single persisted artifact; it
 carries the scaler, both loading blocks, both eigenvalue blocks, and the
-empirical control limits for the two detection indices.
+empirical control limits for the two detection indices. The scaler holds
+the ``n`` physical sensors; only the model file stores it tiled over the
+``d + 1`` lag blocks, one entry per extended column.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .dataset import ScaledDataset, ScalerParams
 from .errors import (
     CorruptModelFile,
     DegenerateSpectrum,
-    DimensionMismatch,
     EigendecompositionFailure,
     IndexOutOfRange,
     SchemaVersionMismatch,
@@ -34,10 +35,8 @@ from .errors import (
 
 __all__ = [
     "PcaModel",
-    "Projection",
     "covariance",
     "fit_pca",
-    "project",
     "save_model",
     "load_model",
     "model_digest",
@@ -74,7 +73,7 @@ class PcaModel:
     d : int
         Lag depth the model was fitted with (0 for plain PCA).
     scaler : ScalerParams
-        Standardization parameters over the n_e extended columns.
+        Standardization parameters of the n physical sensors.
     sensor_names : tuple of str
         The n physical sensor labels.
     spe_limit, t2_limit : float
@@ -109,6 +108,8 @@ class PcaModel:
             self.n_e - self.l
         )
         self.sensor_names = tuple(str(s) for s in self.sensor_names)
+        if len(self.scaler) != self.n:
+            raise ValueError(f"scaler has {len(self.scaler)} entries for {self.n} sensors")
 
     @property
     def n_e(self) -> int:
@@ -144,36 +145,20 @@ class PcaModel:
                 "subspace index is undefined (l reaches into noise eigenvalues)"
             )
 
-    @property
-    def base_scaler(self) -> ScalerParams:
-        """Scaler restricted to the n physical (lag-0) columns."""
-        return ScalerParams(
-            mean=self.scaler.mean[: self.n], std=self.scaler.std[: self.n]
-        )
-
-    def residual_std(self, sensor: int, physical: bool = True) -> float:
-        """Standard deviation of one sensor's residual-subspace component.
+    def residual_std(self, sensor: int) -> float:
+        """Standard deviation of one sensor's residual-subspace component,
+        in the sensor's engineering units.
 
         Computed from the fitted spectrum: the residual part of extended
         column ``i`` has variance ``sum_j lambda_tilde[j] * p_tilde[i, j]**2``
-        under the training distribution. ``physical=True`` converts back to
-        the sensor's engineering units via its scaler std.
+        under the training distribution; its root is scaled by the sensor's
+        scaler std.
         """
         if not 0 <= sensor < self.n:
             raise IndexOutOfRange(f"sensor {sensor} not in [0, {self.n})")
         var = float(np.sum(self.lambda_tilde * self.p_tilde[sensor, :] ** 2))
         std = np.sqrt(max(var, 0.0))
-        if physical:
-            std *= float(self.scaler.std[sensor])
-        return float(std)
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Decomposition of one sample into principal and residual parts."""
-
-    x_hat: np.ndarray
-    x_tilde: np.ndarray
+        return float(std * self.scaler.std[sensor])
 
 
 def covariance(data: ScaledDataset) -> np.ndarray:
@@ -283,16 +268,6 @@ def fit_pca(
     return model
 
 
-def project(model: PcaModel, x: np.ndarray) -> Projection:
-    """Split a standardized sample into principal and residual parts."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_e,):
-        raise DimensionMismatch(
-            f"expected a vector of length {model.n_e}, got shape {x.shape}"
-        )
-    return Projection(x_hat=model.c_hat @ x, x_tilde=model.c_tilde @ x)
-
-
 def _model_payload(model: PcaModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -302,9 +277,9 @@ def _model_payload(model: PcaModel) -> dict:
         "alpha": model.alpha,
         "variance_fraction": model.variance_fraction,
         "sensor_names": list(model.sensor_names),
-        "scaler": {
-            "mean": model.scaler.mean.tolist(),
-            "std": model.scaler.std.tolist(),
+        "scaler": {  # one entry per extended column
+            "mean": np.tile(model.scaler.mean, model.d + 1).tolist(),
+            "std": np.tile(model.scaler.std, model.d + 1).tolist(),
         },
         "p_hat": model.p_hat.tolist(),
         "p_tilde": model.p_tilde.tolist(),
@@ -371,6 +346,9 @@ def load_model(path: str | Path) -> PcaModel:
     if type(scaler) is not dict or scaler.keys() != {"mean", "std"}:  # printed without its arrays
         raise CorruptModelFile(f'{path}: scaler must be an object with keys "mean" and "std" only')
     try:
+        tiled = ScalerParams(**scaler)  # one entry per extended column
+        if len(tiled) != n * (d + 1) or len(raw["sensor_names"]) != n:
+            raise CorruptModelFile(f"{path}: inconsistent dimensions")
         model = PcaModel(
             p_hat=raw["p_hat"],
             p_tilde=raw["p_tilde"],
@@ -379,7 +357,7 @@ def load_model(path: str | Path) -> PcaModel:
             l=l,
             n=n,
             d=d,
-            scaler=ScalerParams(**scaler),
+            scaler=ScalerParams(tiled.mean[:n], tiled.std[:n]),
             sensor_names=raw["sensor_names"],
             variance_fraction=float(raw["variance_fraction"]),
             alpha=float(raw["alpha"]),
@@ -388,8 +366,6 @@ def load_model(path: str | Path) -> PcaModel:
         )
     except (TypeError, ValueError) as exc:
         raise CorruptModelFile(f"{path}: {exc}") from exc
-    if len(model.scaler) != model.n_e or len(model.sensor_names) != n:
-        raise CorruptModelFile(f"{path}: inconsistent dimensions")
     for arr in (model.p_hat, model.p_tilde, model.lambda_hat, model.lambda_tilde):
         if not np.isfinite(arr).all():
             raise CorruptModelFile(f"{path}: non-finite model values")
@@ -405,7 +381,7 @@ def load_model(path: str | Path) -> PcaModel:
             f"{path}: eigenvalues must be non-negative and descending "
             "(lambda_hat, then lambda_tilde)"
         )
-    for part in (model.scaler.mean, model.scaler.std):
+    for part in (tiled.mean, tiled.std):
         if not np.array_equal(part, np.tile(part[:n], d + 1)):
             raise CorruptModelFile(
                 f"{path}: scaler is not its first {n} entries tiled {d + 1} times"

@@ -12,7 +12,6 @@ from sensordiag import (
     EbfState,
     FaultSpec,
     IsolationMethod,
-    LagSpec,
     PcaModel,
     RawDataset,
     ScaledDataset,
@@ -20,6 +19,7 @@ from sensordiag import (
     apply_scaler,
     direction,
     embed_lags,
+    estimate_fault,
     fit_pca,
     fit_scaler,
     inject_fault,
@@ -74,7 +74,7 @@ def make_raw(n: int = 4, m: int = 400, seed: int = 0) -> RawDataset:
 
 def make_scaled(n: int = 4, m: int = 400, seed: int = 0, d: int = 0) -> ScaledDataset:
     raw = make_raw(n=n, m=m, seed=seed)
-    return embed_lags(apply_scaler(raw, fit_scaler(raw)), LagSpec(d))
+    return embed_lags(apply_scaler(raw, fit_scaler(raw)), d)
 
 
 def make_model(
@@ -116,7 +116,7 @@ def write_long_series(root: Path, d: int) -> dict:
     rows = 2 * _BLOCK_ROWS + d + 1
     raw = make_raw(n=8, m=m_train + rows, seed=31)
     train = RawDataset(raw.samples[:m_train], raw.sensor_names)
-    model = fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(d)))
+    model = fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), d))
     save_model(model, root / "model.json")
     onset = monitor_blocks(rows - d)[1].start + d - 1
     amplitude = 25.0 * train.samples[:, 0].std(ddof=1)
@@ -256,6 +256,13 @@ def oracle_contribution_matrix(model: PcaModel, x, tag) -> np.ndarray:
     return scores
 
 
+def oracle_reconstruct(model: PcaModel, x, sensor: int, index=DetectionIndex.SPE) -> np.ndarray:
+    """The sample with the optimal single-sensor correction removed:
+    ``x - u * f`` for the sensor's direction ``u`` and estimated amplitude ``f``."""
+    x = np.asarray(x, dtype=float)
+    return x - direction(model, sensor) * estimate_fault(model, x, sensor, index).amplitude_scaled
+
+
 def oracle_estimate_matrix(
     model: PcaModel, x, sensor: int, index=DetectionIndex.SPE
 ) -> np.ndarray:
@@ -300,7 +307,7 @@ def oracle_prepare_run(model: PcaModel, run: RawDataset, fault: FaultSpec) -> np
     """The full-run path: inject, scale and embed the whole run, then drop
     the embedded rows before ``onset - d``."""
     faulty = inject_fault(run, fault)
-    z = embed_lags(apply_scaler(faulty, model.base_scaler), LagSpec(model.d)).samples
+    z = embed_lags(apply_scaler(faulty, model.scaler), model.d).samples
     return z[max(0, fault.onset_k - model.d) :]
 
 
@@ -363,7 +370,7 @@ def oracle_ebf_step(state: EbfState, winner: int, params) -> EbfState:
     g = np.full(n, params.penalty)
     g[winner] = params.reward
     s = np.clip(state.s + g, params.lower_sat, params.upper_sat)
-    return EbfState(s=s, k=state.k + 1)
+    return EbfState(s=s)
 
 
 def oracle_ebf_decide(state: EbfState, params) -> int | None:
@@ -376,7 +383,7 @@ def oracle_ebf_decide(state: EbfState, params) -> int | None:
 def oracle_monitor_ndjson(model: PcaModel, csv_path, monitor: dict, params) -> str:
     """The monitor stream built one ``json.dumps`` per sample."""
     data = oracle_read_raw_csv(csv_path)
-    z = embed_lags(apply_scaler(data, model.base_scaler), LagSpec(model.d)).samples
+    z = embed_lags(apply_scaler(data, model.scaler), model.d).samples
     tag = IsolationMethod(
         ContributionMethod(monitor["method"]), DetectionIndex(monitor["index"])
     )

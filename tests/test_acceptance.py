@@ -22,7 +22,6 @@ from sensordiag import (
     EbfParams,
     EbfState,
     IsolationMethod,
-    LagSpec,
     apply_scaler,
     contribution_matrix,
     contributions,
@@ -174,7 +173,7 @@ def test_c06_lag_zero_pipeline_degeneracy():
     with Gate(6, 5.0, "zero-lag dynamic pipeline reproduces the plain model exactly"):
         raw_scaled = make_scaled(n=6, m=600, seed=60, d=0)
         plain = fit_pca(raw_scaled, 0.9)
-        embedded = embed_lags(raw_scaled, LagSpec(0))
+        embedded = embed_lags(raw_scaled, 0)
         dynamic = fit_pca(embedded, 0.9)
         x = np.random.default_rng(61).standard_normal((100, 6))
         assert np.abs(spe(plain, x) - spe(dynamic, x)).max() <= 1e-12
@@ -207,8 +206,8 @@ def _run_criterion7():
     runs = [simulate(replace(cfg, m_samples=5000, seed=2 + j)) for j in range(4)]
     scaler = fit_scaler(train)
     scaled = apply_scaler(train, scaler)
-    model_d0 = fit_pca(embed_lags(scaled, LagSpec(0)), 0.98, 0.01)
-    model_d5 = fit_pca(embed_lags(scaled, LagSpec(5)), 0.98, 0.01)
+    model_d0 = fit_pca(embed_lags(scaled, 0), 0.98, 0.01)
+    model_d5 = fit_pca(embed_lags(scaled, 5), 0.98, 0.01)
     onset = 2500
     a_max = 50.0 * model_d0.residual_std(0)
     amp_mid = 10.0 * model_d5.residual_std(0)

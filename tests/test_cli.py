@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from sensordiag import (
     EbfParams,
     FaultSpec,
-    LagSpec,
     RawDataset,
     apply_scaler,
     embed_lags,
@@ -335,7 +334,7 @@ class TestEval:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_report_exit_2(self, tmp_path, workspace, capsys):
         # amplitude / std overflows to inf for a target whose std is below 1
-        stds = load_model(workspace["model"]).base_scaler.std
+        stds = load_model(workspace["model"]).scaler.std
         target = int(np.argmin(stds))
         assert stds[target] < 1.0
         config = write_config(tmp_path, {"sweep": {"target_sensor": target, "amplitudes": [1.7e308, -1.7e308]}})
@@ -592,7 +591,7 @@ class TestQuietDataErrors:
     def test_monitor_score_overflow(self, tmp_path, workspace, value):
         # 1e200 is finite once scaled, but its squared score is not;
         # 1.7e308 / std overflows the scaling of a column whose std is below 1
-        stds = load_model(workspace["model"]).base_scaler.std
+        stds = load_model(workspace["model"]).scaler.std
         data = read_raw_csv(workspace["validation"][0])
         samples = np.array(data.samples)
         samples[150, int(np.argmin(stds))] = value
@@ -605,7 +604,7 @@ class TestQuietDataErrors:
     def test_eval_overflow(self, tmp_path, workspace, amplitude):
         # 1e300 squares to inf in the contribution scores; 1.7e308 / std
         # overflows the scaled data of a target whose std is below 1
-        stds = load_model(workspace["model"]).base_scaler.std
+        stds = load_model(workspace["model"]).scaler.std
         target = int(np.argmin(stds))
         sweep = {"target_sensor": target, "amplitudes": [amplitude, -amplitude]}
         config = write_config(tmp_path, {"sweep": sweep})
@@ -973,7 +972,7 @@ class TestOneLineErrors:
         # the model's lag depth, not the config's lag_depth, sets the bound
         train = make_raw(3, 400, seed=5)
         model = tmp_path / "m3.json"
-        save_model(fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(3))), model)
+        save_model(fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), 3)), model)
         short = tmp_path / "short.csv"
         write_raw_csv(RawDataset(train.samples[:rows], train.sensor_names), short)
         args = {
@@ -1047,7 +1046,7 @@ def chunk_series(tmp_path_factory):
     d, m_train = 2, 3000
     raw = make_raw(n=4, m=m_train + 3 * _RENDER_LINES + 8, seed=41)
     train = RawDataset(raw.samples[:m_train], raw.sensor_names)
-    save_model(fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(d))), root / "model.json")
+    save_model(fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), d)), root / "model.json")
     series = RawDataset(raw.samples[m_train:], raw.sensor_names)
     amplitude = 4.0 * train.samples[:, 0].std(ddof=1)
     return {
@@ -1123,7 +1122,7 @@ class TestMonitorRenderChunks:
         d, m_train = 2, 1000
         raw = make_raw(n=1, m=m_train + _RENDER_LINES + 1 + d, seed=43)
         train = RawDataset(raw.samples[:m_train], raw.sensor_names)
-        model = fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), LagSpec(d)))
+        model = fit_pca(embed_lags(apply_scaler(train, fit_scaler(train)), d))
         save_model(model, tmp_path / "model.json")
         csv = tmp_path / "series.csv"
         write_raw_csv(RawDataset(raw.samples[m_train:], raw.sensor_names), csv)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensordiag import (
-    LagSpec,
     RawDataset,
     ScaledDataset,
     ScalerParams,
     apply_scaler,
     embed_lags,
+    fit_pca,
     fit_scaler,
     read_raw_csv,
+    save_model,
     write_raw_csv,
 )
 from sensordiag.errors import (
@@ -97,7 +99,7 @@ class TestEmbedLags:
     def test_zero_depth_is_identity(self):
         raw = make_raw(n=2, m=10)
         scaled = apply_scaler(raw, fit_scaler(raw))
-        out = embed_lags(scaled, LagSpec(0))
+        out = embed_lags(scaled, 0)
         np.testing.assert_array_equal(out.samples, scaled.samples)
         assert out.sensor_names == scaled.sensor_names
         assert out.lag_depth == 0
@@ -107,7 +109,7 @@ class TestEmbedLags:
         scaled = apply_scaler(
             raw_from(r1, r2, r3), ScalerParams(np.zeros(2), np.ones(2))
         )
-        out = embed_lags(scaled, LagSpec(1))
+        out = embed_lags(scaled, 1)
         np.testing.assert_array_equal(out.samples, [r2 + r1, r3 + r2])
         assert out.sensor_names == ("s1", "s2")
         assert out.lag_depth == 1
@@ -116,7 +118,7 @@ class TestEmbedLags:
         raw = make_raw(n=2, m=3)
         scaled = apply_scaler(raw, fit_scaler(raw))
         with pytest.raises(LagTooLarge):
-            embed_lags(scaled, LagSpec(3))
+            embed_lags(scaled, 3)
 
     @given(
         d=st.integers(min_value=0, max_value=6),
@@ -132,7 +134,7 @@ class TestEmbedLags:
             RawDataset(x, tuple(f"c{i}" for i in range(n))),
             ScalerParams(np.zeros(n), np.ones(n)),
         )
-        out = embed_lags(scaled, LagSpec(d))
+        out = embed_lags(scaled, d)
         assert out.samples.shape == (m - d, n * (d + 1))
         for k in range(m - d):
             for lag in range(d + 1):
@@ -145,7 +147,7 @@ class TestEmbedLags:
         raw = make_raw(n=n, m=12, seed=5)
         scaled = apply_scaler(raw, fit_scaler(raw))
         before = scaled.samples.copy()
-        out = embed_lags(scaled, LagSpec(d))
+        out = embed_lags(scaled, d)
         assert out.samples.flags.c_contiguous
         assert not np.shares_memory(out.samples, scaled.samples)
         base = out.samples
@@ -155,12 +157,18 @@ class TestEmbedLags:
         out.samples[:] = 0.0
         np.testing.assert_array_equal(scaled.samples, before)
 
-    def test_extended_scaler_tiling(self):
+    def test_scaler_passes_through_physical(self):
         raw = make_raw(n=3, m=30, seed=4)
         scaled = apply_scaler(raw, fit_scaler(raw))
-        out = embed_lags(scaled, LagSpec(2))
-        np.testing.assert_array_equal(out.scaler.mean, np.tile(scaled.scaler.mean, 3))
-        np.testing.assert_array_equal(out.scaler.std, np.tile(scaled.scaler.std, 3))
+        assert embed_lags(scaled, 2).scaler is scaled.scaler
+
+    def test_model_file_holds_scaler_tiled(self, tmp_path):
+        raw = make_raw(n=3, m=30, seed=4)
+        scaled = apply_scaler(raw, fit_scaler(raw))
+        save_model(fit_pca(embed_lags(scaled, 2)), tmp_path / "model.json")
+        stored = json.loads((tmp_path / "model.json").read_text("utf-8"))["scaler"]
+        assert stored["mean"] == np.tile(scaled.scaler.mean, 3).tolist()
+        assert stored["std"] == np.tile(scaled.scaler.std, 3).tolist()
 
 
 class TestValidation:
@@ -181,16 +189,27 @@ class TestValidation:
             ScalerParams([0.0], [0.0])
 
     def test_negative_lag(self):
-        with pytest.raises(ValueError):
-            LagSpec(-1)
+        raw = make_raw(n=2, m=10)
+        scaled = apply_scaler(raw, fit_scaler(raw))
+        with pytest.raises(ValueError, match="lag depth must be a non-negative integer, got -1"):
+            embed_lags(scaled, -1)
+
+    def test_numpy_lag_depth_stored_as_int(self):
+        raw = make_raw(n=2, m=10)
+        scaled = apply_scaler(raw, fit_scaler(raw))
+        assert type(embed_lags(scaled, np.int64(2)).lag_depth) is int
 
     def test_scaled_names_count_physical_sensors(self):
         # four columns at lag depth 1 hold two sensors; one name per column is wrong too
-        scaler = ScalerParams(np.zeros(4), np.ones(4))
+        scaler = ScalerParams(np.zeros(2), np.ones(2))
         for names in (("a",), ("a", "b", "c"), ("a", "b", "c", "d")):
             with pytest.raises(ValueError, match="one name per physical sensor"):
                 ScaledDataset(np.zeros((3, 4)), scaler, names, lag_depth=1)
         assert ScaledDataset(np.zeros((3, 4)), scaler, ("a", "b"), lag_depth=1).sensor_names == ("a", "b")
+        # so is the scaler: one entry per sensor, not per column
+        tiled = ScalerParams(np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="scaler length does not match sensor count"):
+            ScaledDataset(np.zeros((3, 4)), tiled, ("a", "b"), lag_depth=1)
 
 
 # Each malformed body and the message after "<path>" that it must raise.

@@ -70,7 +70,6 @@ class TestStep:
             else:
                 assert declared == 0
         assert state.s[0] == pytest.approx(0.2, rel=1e-12)
-        assert state.k == 20
 
     def test_never_selected_sensor_floors_at_zero(self):
         params = EbfParams()
@@ -147,15 +146,15 @@ class TestDecide:
         assert ebf_decide(EbfState.fresh(5), EbfParams()) is None
 
     def test_single_exceeder(self):
-        state = EbfState(s=np.array([0.25, 0.1, 0.0]), k=30)
+        state = EbfState(s=np.array([0.25, 0.1, 0.0]))
         assert ebf_decide(state, EbfParams()) == 0
 
     def test_tie_breaks_low(self):
-        state = EbfState(s=np.array([0.3, 0.3]), k=60)
+        state = EbfState(s=np.array([0.3, 0.3]))
         assert ebf_decide(state, EbfParams()) == 0
 
     def test_argmax_among_exceeders(self):
-        state = EbfState(s=np.array([0.25, 0.6, 0.3]), k=90)
+        state = EbfState(s=np.array([0.25, 0.6, 0.3]))
         assert ebf_decide(state, EbfParams()) == 1
 
 
@@ -173,7 +172,7 @@ class TestReset:
         assert state.s[0] == 1.0
         fresh = EbfState.fresh(state.s.shape[0])
         np.testing.assert_array_equal(fresh.s, np.zeros(2))
-        assert fresh.k == 0 and ebf_decide(fresh, params) is None
+        assert ebf_decide(fresh, params) is None
 
 
 class TestFilterStream:
@@ -297,7 +296,7 @@ def step_cases(draw):
         ).filter(lambda v: params.lower_sat <= v <= params.upper_sat),
     )
     s = np.array(draw(st.lists(level, min_size=n, max_size=n)), dtype=float)
-    return params, EbfState(s=s, k=draw(st.integers(0, 100))), draw(st.integers(0, n - 1))
+    return params, EbfState(s=s), draw(st.integers(0, n - 1))
 
 
 class TestStepOracle:
@@ -307,7 +306,6 @@ class TestStepOracle:
         params, state, winner = case
         got, want = ebf_step(state, winner, params), oracle_ebf_step(state, winner, params)
         assert got.s.tobytes() == want.s.tobytes()  # signed zeros included
-        assert got.k == want.k
         assert ebf_decide(got, params) == oracle_ebf_decide(want, params)
         assert ebf_decide(state, params) == oracle_ebf_decide(state, params)
 

@@ -15,7 +15,6 @@ from sensordiag import (
     EvalReport,
     FaultSpec,
     IsolationMethod,
-    LagSpec,
     RawDataset,
     ReportRow,
     SimConfig,
@@ -84,7 +83,7 @@ def small_model(d=2, vf=0.9):
     train = simulate(small_config(seed=101, m=1500))
     scaler = fit_scaler(train)
     scaled = apply_scaler(train, scaler)
-    return fit_pca(embed_lags(scaled, LagSpec(d)), vf)
+    return fit_pca(embed_lags(scaled, d), vf)
 
 
 def validation_runs(count=2, m=400):
@@ -328,8 +327,8 @@ class TestSweep:
                 for run in runs:
                     onset = run.m // 2 if onset_k is None else onset_k
                     faulty = inject_fault(run, FaultSpec(0, amplitude, onset))
-                    scaled = apply_scaler(faulty, model.base_scaler)
-                    z = embed_lags(scaled, LagSpec(model.d)).samples[onset - model.d :]
+                    scaled = apply_scaler(faulty, model.scaler)
+                    z = embed_lags(scaled, model.d).samples[onset - model.d :]
                     winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
                     decided.append(
                         filter_stream(winners, model.n, params) if use_ebf else winners
@@ -373,8 +372,8 @@ class TestSweep:
     def test_non_finite_report_raises(self):
         # A target std below 1 makes amplitude / std overflow to inf.
         model = small_model()
-        target = int(np.argmin(model.base_scaler.std))
-        assert model.base_scaler.std[target] < 1.0
+        target = int(np.argmin(model.scaler.std))
+        assert model.scaler.std[target] < 1.0
         with pytest.raises(NonFiniteResult, match="overflow float64"):
             sweep(model, validation_runs(1), target, [1.7e308], [(CP_SPE, False)], onset_k=200)
 
@@ -581,7 +580,7 @@ class TestSignSymmetry:
         # and -A coincide sample-for-sample
         model = small_model(vf=0.8)
         flat = RawDataset(
-            np.tile(model.base_scaler.mean, (300, 1)),
+            np.tile(model.scaler.mean, (300, 1)),
             tuple(f"s{i + 1}" for i in range(model.n)),
         )
         amp = 3.0 * model.residual_std(0)

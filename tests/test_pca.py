@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from sensordiag import (
     fit_pca,
     load_model,
     model_digest,
-    project,
     save_model,
     spe,
     t2,
@@ -24,7 +24,6 @@ from sensordiag import (
 from sensordiag.errors import (
     CorruptModelFile,
     DegenerateSpectrum,
-    DimensionMismatch,
     SchemaVersionMismatch,
     UndersampledFit,
 )
@@ -150,31 +149,29 @@ class TestModelInvariants:
 
 
 class TestProject:
+    """A sample splits into its principal part ``x @ c_hat`` and its residual
+    part ``x @ c_tilde``."""
+
     def test_ref2_vector(self, ref2):
-        pr = project(ref2, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(pr.x_hat, [0.5, 0.5], rtol=1e-12)
-        np.testing.assert_allclose(pr.x_tilde, [0.5, -0.5], rtol=1e-12)
+        x = np.array([1.0, 0.0])
+        np.testing.assert_allclose(x @ ref2.c_hat, [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(x @ ref2.c_tilde, [0.5, -0.5], rtol=1e-12)
 
     def test_eigenvector_has_no_residual(self, ref2):
-        pr = project(ref2, ref2.p_hat[:, 0])
-        np.testing.assert_allclose(pr.x_tilde, np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(ref2.p_hat[:, 0] @ ref2.c_tilde, np.zeros(2), atol=1e-12)
 
     def test_zero_vector(self, ref2):
-        pr = project(ref2, np.zeros(2))
-        assert not pr.x_hat.any() and not pr.x_tilde.any()
+        x = np.zeros(2)
+        assert not (x @ ref2.c_hat).any() and not (x @ ref2.c_tilde).any()
 
     def test_parts_sum_and_orthogonality(self):
         model = make_model(n=5, m=300, seed=16)
         rng = np.random.default_rng(17)
         for _ in range(50):
             x = rng.standard_normal(model.n_e)
-            pr = project(model, x)
-            np.testing.assert_allclose(pr.x_hat + pr.x_tilde, x, atol=1e-9)
-            assert abs(pr.x_hat @ pr.x_tilde) < 1e-9
-
-    def test_dimension_mismatch(self, ref2):
-        with pytest.raises(DimensionMismatch):
-            project(ref2, np.zeros(3))
+            x_hat, x_tilde = x @ model.c_hat, x @ model.c_tilde
+            np.testing.assert_allclose(x_hat + x_tilde, x, atol=1e-9)
+            assert abs(x_hat @ x_tilde) < 1e-9
 
 
 class TestPersistence:
@@ -198,6 +195,18 @@ class TestPersistence:
         np.testing.assert_array_equal(back.lambda_hat, model.lambda_hat)
         assert back.spe_limit == model.spe_limit
         assert model_digest(back) == model_digest(model)
+        # the file stores the scaler tiled over the lag blocks; the model holds it once
+        assert len(back.scaler) == model.n == 5
+        np.testing.assert_array_equal(back.scaler.mean, model.scaler.mean)
+        np.testing.assert_array_equal(back.scaler.std, model.scaler.std)
+
+    def test_extended_scaler_rejected(self):
+        # a scaler tiled over the lag blocks would be saved as a file load_model rejects
+        model = make_model(n=3, m=200, seed=18, d=1)
+        mean, std = model.scaler.mean[: model.n], model.scaler.std[: model.n]
+        tiled = ScalerParams(np.tile(mean, 2), np.tile(std, 2))
+        with pytest.raises(ValueError, match="scaler has 6 entries for 3 sensors"):
+            replace(model, scaler=tiled)
 
     def test_missing_field(self, ref2, tmp_path):
         path = tmp_path / "model.json"
@@ -387,13 +396,13 @@ class TestLoadInvariants:
 class TestResidualStd:
     def test_ref2_closed_form(self, ref2):
         # residual variance of sensor 0: 0.2 * (1/sqrt(2))^2 = 0.1
-        assert ref2.residual_std(0, physical=False) == pytest.approx(
+        assert ref2.residual_std(0) / ref2.scaler.std[0] == pytest.approx(
             np.sqrt(0.1), rel=1e-12
         )
 
     def test_physical_units_scale_by_std(self, ref2):
-        scaled = ref2.residual_std(1, physical=False)
-        assert ref2.residual_std(1, physical=True) == pytest.approx(scaled, rel=1e-12)
+        model = replace(ref2, scaler=ScalerParams(np.zeros(2), np.array([2.0, 3.0])))
+        assert model.residual_std(1) == pytest.approx(3.0 * ref2.residual_std(1), rel=1e-12)
 
     def test_matches_empirical_residual_spread(self):
         data = make_scaled(n=5, m=5000, seed=19)
@@ -401,6 +410,6 @@ class TestResidualStd:
         resid = data.samples @ model.c_tilde
         for i in range(model.n):
             empirical = resid[:, i].std(ddof=1)
-            assert model.residual_std(i, physical=False) == pytest.approx(
+            assert model.residual_std(i) / model.scaler.std[i] == pytest.approx(
                 empirical, rel=0.05
             )

@@ -1,7 +1,11 @@
 """Each layer module's ``__all__`` names only what it defines, and the
 package re-exports all of it, so ``from sensordiag.<module> import *`` works.
-One module reads the JSON files that come from outside the program."""
+Every public name has a user outside the tests. One module reads the JSON
+files that come from outside the program, and one stores the scaler tiled
+over the lag blocks."""
 
+import ast
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -11,7 +15,18 @@ import pytest
 import sensordiag
 
 MODULES = ("dataset", "detection", "ebf", "harness", "isolation", "pca")
-REMOVED = ("direction_matrix", "inverse_scaler", "ebf_reset")
+REMOVED = (
+    "direction_matrix",
+    "inverse_scaler",
+    "ebf_reset",
+    "LagSpec",
+    "project",
+    "Projection",
+    "isolate",
+    "reconstruct",
+)
+PACKAGE = Path(sensordiag.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,6 +50,41 @@ def test_removed_helpers_are_gone(name):
         assert item not in getattr(module, "__all__", ())
 
 
+def test_model_holds_one_scaler():
+    assert not hasattr(sensordiag.PcaModel, "base_scaler")
+
+
+def _references(source: str) -> set:
+    """Every variable the code reads and every attribute it names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@functools.cache
+def _used_outside_tests() -> set:
+    """Names read by the package (re-exports aside), README's library
+    example, the benchmark and the acceptance gates."""
+    readme = (ROOT / "README.md").read_text("utf-8")
+    example = readme.split("## Library usage", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    sources = [example, (ROOT / "tests" / "test_acceptance.py").read_text("utf-8")]
+    sources += [p.read_text("utf-8") for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += [p.read_text("utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return set().union(*map(_references, sources))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_has_a_user(name):
+    """A public name nothing outside the tests reads is deleted, not kept
+    for a caller that may come."""
+    module = importlib.import_module(f"sensordiag.{name}")
+    assert [item for item in module.__all__ if item not in _used_outside_tests()] == []
+
+
 @pytest.mark.parametrize(
     "pattern",
     [r"\bjson\.loads?\(", r"\bexcept\b[^:\n]*\bOverflowError\b"],
@@ -43,6 +93,12 @@ def test_removed_helpers_are_gone(name):
 def test_one_json_reader(pattern):
     """Only the reader module parses JSON or catches a float conversion's
     overflow, so a second reader of the config or model files fails here."""
-    package = Path(sensordiag.__file__).parent
-    hits = [p.name for p in sorted(package.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
+    hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
     assert hits == ["_jsonin.py"]
+
+
+def test_one_owner_of_the_tiled_scaler():
+    """Only the model file stores the scaler tiled over the lag blocks, so
+    only ``pca.py`` tiles it."""
+    hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if "np.tile(" in p.read_text("utf-8")]
+    assert hits == ["pca.py"]

@@ -16,9 +16,12 @@ class ZeroVarianceColumn(SensorDiagError):
     """A sensor column is (numerically) constant and cannot be standardized."""
 
     def __init__(self, sensor_name: str):
+        super().__init__(sensor_name)  # the arguments, so pickle and copy rebuild it
         self.sensor_name = sensor_name
-        super().__init__(
-            f"sensor '{sensor_name}' has zero variance; a constant column "
+
+    def __str__(self):
+        return (
+            f"sensor '{self.sensor_name}' has zero variance; a constant column "
             "cannot be standardized"
         )
 
@@ -49,9 +52,12 @@ class DegenerateDirection(SensorDiagError):
     """A sensor direction lies (numerically) inside the complementary subspace."""
 
     def __init__(self, sensor: int, what: str):
+        super().__init__(sensor, what)  # the arguments, so pickle and copy rebuild it
         self.sensor = sensor
-        super().__init__(
-            f"direction of sensor {sensor} is degenerate for {what}; "
+
+    def __str__(self):
+        return (
+            f"direction of sensor {self.sensor} is degenerate for {self.args[1]}; "
             "the reconstruction denominator is numerically zero"
         )
 

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -381,53 +382,112 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
         yield z
 
 
-@dataclass
-class _Cell:
-    """One run's partials at one amplitude, pooled over the runs by ``sweep``."""
+class _RunScore(NamedTuple):
+    """One validation run's partials, one dict per list for each amplitude scored,
+    in grid order, and its failure ``(position, phase, error)`` or ``None``."""
 
-    hits: dict  # tag -> (winners on the target, stream length)
-    errors: dict  # index -> (summed relative error, estimate count)
-    finite: dict  # index -> whether every estimate is finite
+    hits: list  # tag -> (winners on the target, stream length)
+    errors: list  # index -> (summed relative error, estimate count)
+    finite: list  # index -> whether every estimate is finite
+    streams: list  # filtered tag -> raw winner stream
+    failure: tuple | None = None
 
 
 def _score_run(
-    model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int,
-    tags, indices, batches: dict, rows: range,
-):
-    """Score ``run`` at each amplitude in turn until a cell fails.
+    model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int, tags, indices, filtered
+) -> _RunScore:
+    """Score ``run`` at each amplitude in turn until one fails.
 
-    Returns the cells scored and the failure ``(position, phase, error)``, or
-    ``None``. Phase 0 is preparing the faulty rows, phase 1 scoring them and
-    phase 2 an error sum that is not finite; a phase-2 cell is kept, with
-    ``error`` ``None``, since its estimates decide what ``sweep`` raises.
-    The raw winner stream of the ``j``-th amplitude under a tag in
-    ``batches`` is written into that tag's batch at row ``rows[j]``.
+    Phase 0 of a failure is preparing the faulty rows, phase 1 scoring them and
+    phase 2 an error sum that is not finite; a phase-2 amplitude is kept, with
+    ``error`` ``None``, since its estimates decide what ``sweep`` raises. A tag in
+    ``filtered`` keeps its raw winners in the smallest dtype for a sensor index.
     """
     std_target = float(model.scaler.std[target])
-    cells = []
+    score = _RunScore([], [], [], [])
     faulty = _faulty_runs(model, run, target, amplitudes, onset)
     for j, amplitude in enumerate(amplitudes):
         try:
             z = next(faulty)
         except SensorDiagError as exc:
-            return cells, (j, 0, exc)
-        cell = _Cell({}, {}, {})
+            return score._replace(failure=(j, 0, exc))
+        hits, errors, finite, streams = {}, {}, {}, {}
         try:
             for tag in tags:
                 winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
-                cell.hits[tag] = _target_hits(winners, target)
-                if tag in batches:
-                    batches[tag][rows[j], : winners.size] = winners
+                hits[tag] = _target_hits(winners, target)
+                if tag in filtered:
+                    streams[tag] = winners.astype(np.min_scalar_type(-model.n))
             for idx in indices:
                 estimates = estimate_matrix(model, z, target, idx) * std_target
-                cell.errors[idx] = _error_sum(estimates, amplitude)
-                cell.finite[idx] = bool(np.isfinite(estimates).all())
+                errors[idx] = _error_sum(estimates, amplitude)
+                finite[idx] = bool(np.isfinite(estimates).all())
         except SensorDiagError as exc:
-            return cells, (j, 1, exc)
-        cells.append(cell)
-        if not all(math.isfinite(err) for err, _ in cell.errors.values()):
-            return cells, (j, 2, None)
-    return cells, None
+            return score._replace(failure=(j, 1, exc))
+        for parts, cell in zip(score, (hits, errors, finite, streams)):
+            parts.append(cell)
+        if not all(math.isfinite(err) for err, _ in errors.values()):
+            return score._replace(failure=(j, 2, None))
+    return score
+
+
+def _pool_runs(model: PcaModel, scores, target: int, grid, variants, ebf_params) -> list:
+    """Pool the runs' scores, each added in run order, into the report rows,
+    or raise the error ``sweep`` documents. The filtered tags' streams are
+    moved out of ``scores`` into the filter's batch.
+    """
+    # First in (position, phase, run) order: min keeps the earlier of two equal keys.
+    failure = min((s.failure for s in scores if s.failure), key=lambda f: f[:2], default=None)
+    scored = [i for i, a in enumerate(grid) if a != 0.0]  # a zero amplitude is skipped
+    iso: dict = {}  # (grid position, tag, use_ebf) -> isolation percentage
+    recon: dict = {}  # (grid position, index) -> reconstruction error
+    for j, i in enumerate(scored):
+        if failure is not None and failure[0] == j and failure[2] is not None:
+            raise failure[2]
+        # Percentages count integer winners, so only the errors can overflow.
+        for idx in scores[0].errors[j]:
+            err = _pool((s.errors[j][idx] for s in scores), "estimates")
+            if not math.isfinite(err):
+                if all(s.finite[j][idx] for s in scores):
+                    raise AmplitudeOverflow(
+                        f"{idx.value} estimates at amplitude {grid[i]!r} are all finite, "
+                        "but their errors relative to the amplitude overflow float64"
+                    )
+                raise NonFiniteResult(
+                    f"{idx.value} estimates at amplitude {grid[i]!r} score a "
+                    "non-finite error; the faulty data overflow float64"
+                )
+            recon[i, idx] = err
+        for tag in scores[0].hits[j]:
+            iso[i, tag, False] = _pool((s.hits[j][tag] for s in scores), "post-onset samples")
+    # Each filtered tag's streams go into one batch, right-padded: row
+    # j*R + r holds run r of R at the j-th scored amplitude. The filter is
+    # causal, so padding cannot change a stream's own declarations; each
+    # result is cut back to its stream's length. With no amplitude scored
+    # there is nothing to filter.
+    for tag in dict.fromkeys(tag for tag, use_ebf in variants if use_ebf and scored):
+        streams = [s.streams[j].pop(tag) for j in range(len(scored)) for s in scores]
+        batch = np.zeros((len(streams), max(map(len, streams))), streams[0].dtype)
+        for row, stream in zip(batch, streams):
+            row[: stream.size] = stream
+        del streams  # the batch holds the only copy the filter reads
+        out = filter_stream(batch, model.n, ebf_params)
+        for j, i in enumerate(scored):
+            group = [row[: s.hits[j][tag][1]] for row, s in zip(out[j * len(scores) :], scores)]
+            iso[i, tag, True] = isolation_percentage(group, target)
+    return [
+        ReportRow(
+            amplitude=amplitude or 0.0,  # a skipped -0.0 reads 0.0
+            method=tag.method.value,
+            index=tag.index.value,
+            ebf=use_ebf,
+            isolation_pct=iso.get((i, tag, use_ebf)),
+            recon_err_pct=recon.get((i, tag.index)),
+            skipped=amplitude == 0.0,
+        )
+        for i, amplitude in enumerate(grid)
+        for tag, use_ebf in variants
+    ]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
@@ -467,13 +527,10 @@ def sweep(
     ------
     NonFiniteResult
         If a score or a report number is not finite, as when an amplitude
-        near the float64 limit overflows the scaled data. The runs are
-        scored one at a time, each up to its first failing cell, or only
-        at the first amplitude when an onset lies outside its run; the
-        amplitudes are then checked in grid order, and at each one a run
-        whose faulty rows cannot be prepared is raised first, then a
-        failed score, each in run order, then a pooled error that is not
-        finite. So the error is the one of the first failing amplitude.
+        near the float64 limit overflows the scaled data. The error is the
+        one of the first failing amplitude in grid order; there a run whose
+        faulty rows cannot be prepared comes first, then a failed score,
+        each in run order, then a pooled error that is not finite.
     AmplitudeOverflow
         A ``NonFiniteResult`` raised instead when every estimate is finite
         but the error relative to the amplitude is not, as at a subnormal
@@ -514,78 +571,19 @@ def sweep(
     }
 
     tags = list(dict.fromkeys(tag for tag, _ in variants))
-    indices = list(dict.fromkeys(tag.index for tag, _ in variants))
-    # Grid positions of the scored amplitudes; a zero amplitude is skipped.
-    scored = [i for i, a in enumerate(grid) if a != 0.0]
-    nonzero = [grid[i] for i in scored]
+    indices = list(dict.fromkeys(tag.index for tag in tags))
+    filtered = {tag for tag, use_ebf in variants if use_ebf}
+    nonzero = [a for a in grid if a != 0.0]
     onsets = [run.m // 2 if onset_k is None else onset_k for run in runs]
-    # Each filtered tag's raw winner streams go straight into one batch, in
-    # the smallest dtype that holds a sensor index. With R = len(runs), row
-    # j*R + r holds run r at the j-th scored amplitude; its evaluation rows
-    # start at max(onset, d), and the rest of the row is padding.
-    lengths = [max(0, run.m - max(onset, model.d)) for run, onset in zip(runs, onsets)]
-    batches = {
-        tag: np.zeros((len(nonzero) * len(runs), max(lengths)), np.min_scalar_type(-model.n))
-        for tag, use_ebf in variants
-        if use_ebf
-    }
-    # Run outer, amplitude inner. A later run need not go past the first
-    # failing amplitude found so far: only an earlier failure can matter. An
-    # onset outside its run fails at the first amplitude, so then no run is
-    # scored past it.
+    # Each run is scored into its own result. Only an earlier failure can
+    # matter, so to save work a later run stops at the first failing
+    # amplitude found so far, and every run at the first amplitude when an
+    # onset lies outside its run.
     stop = len(nonzero) if all(0 <= onset < run.m for run, onset in zip(runs, onsets)) else 1
-    cells = []  # per run, its cells in grid order
-    failure = None  # (position, phase, error): the first in the order checked below
-    for r, (run, onset) in enumerate(zip(runs, onsets)):
-        run_cells, run_failure = _score_run(
-            model, run, target, nonzero[:stop], onset, tags, indices,
-            batches, range(r, len(nonzero) * len(runs), len(runs)),
-        )
-        cells.append(run_cells)
-        # Ties at one (position, phase) keep the earlier run's failure.
-        if run_failure is not None and (failure is None or run_failure[:2] < failure[:2]):
-            failure = run_failure
-            stop = failure[0] + 1
-    iso: dict = {}  # (grid position, tag, use_ebf) -> isolation percentage
-    recon: dict = {}  # (grid position, index) -> reconstruction error
-    for j, (i, amplitude) in enumerate(zip(scored, nonzero)):
-        if failure is not None and failure[0] == j and failure[2] is not None:
-            raise failure[2]
-        column = [run_cells[j] for run_cells in cells]
-        # Percentages count integer winners, so only the errors can overflow.
-        for idx in indices:
-            err = _pool((cell.errors[idx] for cell in column), "estimates")
-            if not math.isfinite(err):
-                if all(cell.finite[idx] for cell in column):
-                    raise AmplitudeOverflow(
-                        f"{idx.value} estimates at amplitude {amplitude!r} are all finite, "
-                        "but their errors relative to the amplitude overflow float64"
-                    )
-                raise NonFiniteResult(
-                    f"{idx.value} estimates at amplitude {amplitude!r} score a "
-                    "non-finite error; the faulty data overflow float64"
-                )
-            recon[i, idx] = err
-        for tag in tags:
-            iso[i, tag, False] = _pool((cell.hits[tag] for cell in column), "post-onset samples")
-    # The filter is causal, so padding cannot change a stream's own
-    # declarations; each result is cut back to its stream's length.
-    for tag, batch in batches.items():
-        out = filter_stream(batch, model.n, ebf_params)
-        for j, i in enumerate(scored):
-            group = [out[j * len(runs) + r, :size] for r, size in enumerate(lengths)]
-            iso[i, tag, True] = isolation_percentage(group, target)
-    rows = [
-        ReportRow(
-            amplitude=amplitude or 0.0,  # a skipped -0.0 reads 0.0
-            method=tag.method.value,
-            index=tag.index.value,
-            ebf=use_ebf,
-            isolation_pct=iso.get((i, tag, use_ebf)),
-            recon_err_pct=recon.get((i, tag.index)),
-            skipped=amplitude == 0.0,
-        )
-        for i, amplitude in enumerate(grid)
-        for tag, use_ebf in variants
-    ]
-    return EvalReport(rows=rows, metadata=metadata)
+    scores = []
+    for run, onset in zip(runs, onsets):
+        score = _score_run(model, run, target, nonzero[:stop], onset, tags, indices, filtered)
+        scores.append(score)
+        if score.failure is not None:
+            stop = score.failure[0] + 1
+    return EvalReport(_pool_runs(model, scores, target, grid, variants, ebf_params), metadata)

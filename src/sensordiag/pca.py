@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -53,7 +53,7 @@ _TIE_RTOL = 1e-9
 _ORTHONORMAL_TOL = 1e-8
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PcaModel:
     """Fitted principal/residual subspace decomposition.
 
@@ -99,15 +99,12 @@ class PcaModel:
     t2_limit: float
 
     def __post_init__(self):
-        self.p_hat = np.asarray(self.p_hat, dtype=float).reshape(self.n_e, self.l)
-        self.p_tilde = np.asarray(self.p_tilde, dtype=float).reshape(
-            self.n_e, self.n_e - self.l
-        )
-        self.lambda_hat = np.asarray(self.lambda_hat, dtype=float).reshape(self.l)
-        self.lambda_tilde = np.asarray(self.lambda_tilde, dtype=float).reshape(
-            self.n_e - self.l
-        )
-        self.sensor_names = tuple(str(s) for s in self.sensor_names)
+        n_e, l = self.n_e, self.l
+        for name, shape in [("p_hat", (n_e, l)), ("p_tilde", (n_e, n_e - l)),
+                            ("lambda_hat", (l,)), ("lambda_tilde", (n_e - l,))]:
+            array = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "sensor_names", tuple(str(s) for s in self.sensor_names))
         if len(self.scaler) != self.n:
             raise ValueError(f"scaler has {len(self.scaler)} entries for {self.n} sensors")
 
@@ -263,9 +260,8 @@ def fit_pca(
         spe_limit=np.nan,
         t2_limit=np.nan,
     )
-    model.spe_limit = float(fit_threshold(spe(model, x), alpha))
-    model.t2_limit = float(fit_threshold(t2(model, x), alpha))
-    return model
+    spe_limit, t2_limit = (float(fit_threshold(score(model, x), alpha)) for score in (spe, t2))
+    return replace(model, spe_limit=spe_limit, t2_limit=t2_limit)
 
 
 def _model_payload(model: PcaModel) -> dict:

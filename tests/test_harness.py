@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 from functools import lru_cache
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensordiag import (
+    DEFAULT_VARIANTS,
     ContributionMethod,
     DetectionIndex,
     EbfParams,
@@ -562,6 +564,86 @@ class TestErrorOrder:
             sweep(lag_model(1), runs, 0, np.linspace(-3.0, 3.0, 20), variants, onset_k=500)
         assert str(info.value) == "onset 500 not in [0, 199)"
         assert len(calls) == 3 * 2  # the first amplitude of each earlier run, two tags
+
+
+def scored_apart(model, runs, target, grid, variants=DEFAULT_VARIANTS, onset_k=None):
+    """``sweep``'s rows from each run scored on its own at every amplitude,
+    in reverse run order, each result through a pickle round trip, then
+    pooled in run order."""
+    grid = [float(a) for a in grid]
+    variants = list(variants)
+    tags = list(dict.fromkeys(tag for tag, _ in variants))
+    indices = list(dict.fromkeys(tag.index for tag in tags))
+    filtered = {tag for tag, use_ebf in variants if use_ebf}
+    nonzero = [a for a in grid if a != 0.0]
+    scores = [None] * len(runs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in reversed(range(len(runs))):
+            onset = runs[r].m // 2 if onset_k is None else onset_k
+            score = harness._score_run(model, runs[r], target, nonzero, onset, tags, indices, filtered)
+            scores[r] = pickle.loads(pickle.dumps(score))
+        return harness._pool_runs(model, scores, target, grid, variants, EbfParams())
+
+
+def outcome(rows):
+    """Each row's ``repr``, which tells every float bit apart, or the
+    error's type and message."""
+    try:
+        return [repr(row) for row in rows()]
+    except SensorDiagError as exc:
+        return type(exc), str(exc)
+
+
+def tied_runs(order):
+    """TestErrorOrder's two runs that both fail at the first amplitude."""
+    overflowing = ragged_runs([40])[0]
+    samples = overflowing.samples.copy()
+    samples[13:, 0] = 1e308
+    runs = [RawDataset(samples, overflowing.sensor_names), ragged_runs([10])[0]]
+    return [runs[k] for k in order]
+
+
+class TestRunIndependence:
+    """A run's result depends on that run alone, and the pooled rows or the
+    raised error on the results in run order, not on how they were made."""
+
+    CASES = {
+        "default": lambda: (small_model(), validation_runs(3), 0, [-1.5, 0.0, 0.4, 2.5, -0.0], {}),
+        "ebf-ragged": lambda: (
+            small_model(),
+            [simulate(small_config(seed=300 + j, m=m)) for j, m in enumerate((260, 400, 330))],
+            0,
+            [1.0, 0.0, -2.0, -0.0, 0.25, -2.0],
+            {"variants": [(RBC_T2, True), (CP_SPE, False), (CP_SPE, True), (CP_T2, True), (RBC_T2, True)],
+             "onset_k": 150},
+        ),
+        "injection": lambda: (lag_model(1), leveled_runs((1e308, -1e308)), 0, [-1e308, 1e308],
+                              {"variants": [(CP_SPE, False)]}),
+        "score": lambda: (lag_model(1), leveled_runs((1e308, 1.5e308)), 0, [-1e308, 1e308],
+                          {"variants": [(CP_SPE, False)]}),
+        "injection-before-score": lambda: (lag_model(1), leveled_runs((1.5e308, -1e308)), 0, [-1e308, 1.0],
+                                           {"variants": [(CP_SPE, False)]}),
+        "tie-injection-first": lambda: (lag_model(1), tied_runs((0, 1)), 0, [1e308, 1.0],
+                                        {"variants": [(CP_SPE, False)], "onset_k": 13}),
+        "tie-onset-first": lambda: (lag_model(1), tied_runs((1, 0)), 0, [1e308, 1.0],
+                                    {"variants": [(CP_SPE, False)], "onset_k": 13}),
+        "onset-past-a-later-run": lambda: (
+            lag_model(1),
+            [*validation_runs(3, m=600), validation_runs(1, m=199)[0]],
+            0,
+            list(np.linspace(-3.0, 3.0, 20)),
+            {"variants": [(CP_SPE, False), (RBC_T2, False), (RBC_T2, True)], "onset_k": 500},
+        ),
+        "amplitude-overflow": lambda: (small_model(), validation_runs(2), 0, [1.0, 5e-324],
+                                       {"variants": [(CP_SPE, False)], "onset_k": 200}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_runs_scored_apart_pool_to_the_sweep(self, case):
+        model, runs, target, grid, kwargs = self.CASES[case]()
+        expected = outcome(lambda: sweep(model, runs, target, grid, **kwargs).rows)
+        assert isinstance(expected, list) == (case in ("default", "ebf-ragged"))
+        assert outcome(lambda: scored_apart(model, runs, target, grid, **kwargs)) == expected
 
 
 class TestSignSymmetry:

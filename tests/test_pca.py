@@ -2,7 +2,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensordiag import (
+    ContributionMethod,
+    DetectionIndex,
+    IsolationMethod,
     PcaModel,
     ScaledDataset,
     ScalerParams,
+    contribution_matrix,
     covariance,
     fit_pca,
     load_model,
@@ -146,6 +150,18 @@ class TestModelInvariants:
         x = np.random.default_rng(15).standard_normal((100, 4))
         np.testing.assert_array_equal(spe(model_a, x), spe(model_b, x))
         np.testing.assert_array_equal(t2(model_a, x), t2(model_b, x))
+
+
+    def test_fields_cannot_be_assigned(self):
+        # The projectors and attribution kernels are cached on first use, so a
+        # field assigned afterwards would leave scoring on the old loadings.
+        model = make_model(n=4, m=300, seed=16, d=1)
+        tag = IsolationMethod(ContributionMethod.RBC, DetectionIndex.T2)
+        before = contribution_matrix(model, np.ones((3, model.n_e)), tag)
+        for field in fields(model):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, field.name, getattr(model, field.name))
+        assert np.array_equal(contribution_matrix(model, np.ones((3, model.n_e)), tag), before)
 
 
 class TestProject:

@@ -11,6 +11,7 @@ and every error is reported as one ``data error:`` or ``config error:`` line.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import warnings
@@ -183,7 +184,21 @@ def _read_for_model(path, model):
     return data
 
 
+def _output_path(flag: str, value: str, suffix: str | None = None) -> Path:
+    """The file ``value`` names, with ``suffix`` if one is given, checked before any
+    input is read: it has a file name, is not a directory, and its directory exists."""
+    if os.path.basename(value) in ("", ".", ".."):
+        raise SensorDiagError(f"{flag} {value!r}: empty file name")
+    path = Path(value) if suffix is None else Path(value).with_suffix(suffix)
+    if path.is_dir():
+        raise SensorDiagError(f"{flag} {value!r}: Is a directory: {str(path)!r}")
+    if not path.parent.is_dir():
+        raise SensorDiagError(f"{flag} {value!r}: No such directory: {str(path.parent)!r}")
+    return path
+
+
 def cmd_fit(args, cfg: dict) -> int:
+    model_out = _output_path("--model-out", args.model_out)
     d = cfg["lag_depth"]
     # Each copy of the series is dropped once the next is built, and the
     # embedded matrix once the model is fitted, so save_model builds its JSON
@@ -200,7 +215,7 @@ def cmd_fit(args, cfg: dict) -> int:
         )
     model = fit_pca(embedded, cfg["variance_fraction"], cfg["alpha"])
     del embedded
-    save_model(model, args.model_out)
+    save_model(model, model_out)
     explained = float(model.lambda_hat.sum()) / float(
         model.lambda_hat.sum() + model.lambda_tilde.sum()
     )
@@ -215,10 +230,8 @@ def cmd_fit(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     if not args.validation_csvs:
         raise ConfigError("at least one validation CSV is required")
-    base = Path(args.report_out)
-    if base.name in ("", ".."):  # before any work: "", ".", "/" and ".." name no file
-        raise SensorDiagError(f"--report-out {args.report_out!r}: empty file name")
-    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    csv_path = _output_path("--report-out", args.report_out, ".csv")
+    json_path = _output_path("--report-out", args.report_out, ".json")
     model = load_model(args.model)
     runs = [_read_for_model(p, model) for p in args.validation_csvs]
     sw = cfg["sweep"]

@@ -12,8 +12,12 @@ mean absolute relative amplitude-reconstruction error.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -490,6 +494,60 @@ def _pool_runs(model: PcaModel, scores, target: int, grid, variants, ebf_params)
     ]
 
 
+_PARALLEL_MIN_WORK = 500_000  # scored products worth a fork; README "Performance" derives it
+
+
+def _blas_threads():
+    """The ``(get, set)`` thread-count functions of numpy's OpenBLAS, or ``None``."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+                return (ctypes.CFUNCTYPE(ctypes.c_int)((name % "get", lib)),
+                        ctypes.CFUNCTYPE(None, ctypes.c_int)((name % "set", lib)))
+    return None
+
+
+def _score_shares(score_share, count: int, work: int) -> list:
+    """``score_share(lo, hi)`` over one contiguous share of ``range(count)`` per usable CPU,
+    in order: share 0 here and each other share in a child forked with BLAS at one
+    thread, or here if that child dies first. When to stay serial: README "Performance"."""
+    k = min(count, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    blas = _blas_threads() if k > 1 and hasattr(os, "fork") and work >= _PARALLEL_MIN_WORK else None
+    if blas is None:
+        return score_share(0, count)
+    get, put = blas
+    bounds = [count * i // k for i in range(k + 1)]
+    threads, children = get(), []
+    put(1)
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: score the share, send it, exit
+                try:
+                    with open(w, "wb") as out:
+                        pickle.dump(score_share(lo, hi), out, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        scores = score_share(0, bounds[1])
+        for (_, pipe), lo, hi in zip(children, bounds[1:], bounds[2:]):
+            try:
+                scores += pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child died before it delivered
+                scores += score_share(lo, hi)
+        return scores
+    finally:
+        put(threads)
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
+            os.waitpid(pid, 0)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def sweep(
     model: PcaModel,
@@ -502,6 +560,9 @@ def sweep(
     ebf_params: EbfParams | None = None,
 ) -> EvalReport:
     """Evaluate every (amplitude, variant) cell over the validation runs.
+
+    With more than one usable CPU, large sweeps score shares of the runs in
+    forked child processes; the result is the same (README "Performance").
 
     Parameters
     ----------
@@ -575,15 +636,20 @@ def sweep(
     filtered = {tag for tag, use_ebf in variants if use_ebf}
     nonzero = [a for a in grid if a != 0.0]
     onsets = [run.m // 2 if onset_k is None else onset_k for run in runs]
-    # Each run is scored into its own result. Only an earlier failure can
-    # matter, so to save work a later run stops at the first failing
-    # amplitude found so far, and every run at the first amplitude when an
-    # onset lies outside its run.
+    # Each run is scored into its own result. Only an earlier failure can matter,
+    # so a later run of a share stops at the first failing amplitude found so far
+    # in that share, and every run at the first one when an onset is outside its run.
     stop = len(nonzero) if all(0 <= onset < run.m for run, onset in zip(runs, onsets)) else 1
-    scores = []
-    for run, onset in zip(runs, onsets):
-        score = _score_run(model, run, target, nonzero[:stop], onset, tags, indices, filtered)
-        scores.append(score)
-        if score.failure is not None:
-            stop = score.failure[0] + 1
+
+    def score_share(lo: int, hi: int) -> list:
+        scores, limit = [], stop
+        for run, onset in zip(runs[lo:hi], onsets[lo:hi]):
+            score = _score_run(model, run, target, nonzero[:limit], onset, tags, indices, filtered)
+            scores.append(score)
+            if score.failure is not None:
+                limit = score.failure[0] + 1
+        return scores
+
+    rows = sum(max(run.m - onset, 0) for run, onset in zip(runs, onsets))  # scored per amplitude
+    scores = _score_shares(score_share, len(runs), rows * stop * (len(tags) + len(indices)))
     return EvalReport(_pool_runs(model, scores, target, grid, variants, ebf_params), metadata)

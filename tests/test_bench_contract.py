@@ -159,3 +159,25 @@ def test_monitor_embeds_block_by_block(long_series, monkeypatch, capsys, tmp_pat
     assert all(rows_in <= _RENDER_LINES + d for rows_in, _ in embedded)  # one block plus its lag history
     assert sum(rows_out for _, rows_out in embedded) == long_series["rows"] - d
     assert len(steps) == len(lines) == long_series["rows"] - d
+
+
+def test_bench_files_hold_the_declared_end_to_end_metrics():
+    # Each committed BENCH_<pr>.json holds, per benchmark workload and side
+    # (parent and change), one final line of ``perfbench/run.py --trace 0``;
+    # its metrics must be exactly the end-to-end metrics BENCHMARK.json declares.
+    root = LAYERS.parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    workloads = {w["name"] for w in spec["workloads"]}
+    files = sorted(root.glob("BENCH_*.json"))
+    assert files, "no BENCH_<pr>.json is committed"
+    for path in files:
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        assert set(bench["runs"]) == workloads == set(bench["seeds"]), path.name
+        for workload, sides in bench["runs"].items():
+            assert set(sides) == {"parent", "change"}, (path.name, workload)
+            for side, line in sides.items():
+                units = {name: metric["unit"] for name, metric in line["metrics"].items()}
+                assert units == declared, (path.name, workload, side)
+                assert line["correct"] and line["failed"] == 0, (path.name, workload, side)
+            assert set(bench["pairs"][workload]) <= set(declared), (path.name, workload)

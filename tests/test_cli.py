@@ -954,6 +954,31 @@ class TestOneLineErrors:
         proc = run_cli(["--config", workspace["config"], *args, "--report-out", ""], tmp_path)
         assert_one_data_error(proc, "data error: --report-out '': empty file name")
 
+    @pytest.mark.parametrize(
+        "command, case",
+        [(command, case) for command in ("fit", "eval")
+         for case in ("missing-directory", "directory", "dot", "trailing-slash")] + [("fit", "empty")],
+    )
+    def test_output_path_checked_before_any_input(self, tmp_path, command, case):
+        # The inputs do not exist, so only a check made before any is read
+        # can name the output path. An empty --report-out is tested above.
+        flag, target = {"fit": ("--model-out", ""), "eval": ("--report-out", ".csv")}[command]
+        out, message = {
+            "missing-directory": (tmp_path / "missing" / "out", f"No such directory: '{tmp_path / 'missing'}'"),
+            "directory": (tmp_path / "out", f"Is a directory: '{tmp_path / ('out' + target)}'"),
+            "dot": (f"{tmp_path}/.", "empty file name"),
+            "trailing-slash": (f"{tmp_path}/out/", "empty file name"),
+            "empty": ("", "empty file name"),
+        }[case]
+        if case == "directory":
+            (tmp_path / ("out" + target)).mkdir()
+        args = {
+            "fit": ["fit", str(tmp_path / "train.csv")],
+            "eval": ["eval", str(tmp_path / "model.json"), str(tmp_path / "validation.csv")],
+        }[command]
+        proc = run_cli([*args, flag, str(out)], tmp_path)
+        assert_one_data_error(proc, f"data error: {flag} {str(out)!r}: {message}")
+
     def test_fit_on_too_few_rows_exit_3(self, tmp_path, workspace):
         # one embedded row at lag_depth 1 has no covariance estimate
         train = tmp_path / "train.csv"

@@ -232,10 +232,7 @@ def inject_fault(data: RawDataset, fault: FaultSpec) -> RawDataset:
             f"{data.sensor_names[fault.sensor]!r} from onset {fault.onset_k}: "
             "the faulty data overflow float64"
         )
-    return RawDataset(
-        samples=samples,
-        sensor_names=data.sensor_names,
-    )
+    return replace(data, samples=samples)
 
 
 def _target_hits(winners, target: int) -> tuple[int, int]:
@@ -368,10 +365,7 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
     prepares that column alone and copies its ``d+1`` lag columns into
     ``s, s+n, ..., s+d*n``; the values are the same bits either way.
     """
-    column = RawDataset(
-        run.samples[:, target : target + 1],
-        (run.sensor_names[target],),
-    )
+    column = RawDataset(run.samples[:, target : target + 1], (run.sensor_names[target],))
     scaler = model.scaler
     column_scaler = ScalerParams(scaler.mean[target : target + 1], scaler.std[target : target + 1])
     z = None
@@ -390,10 +384,9 @@ class _RunScore(NamedTuple):
     """One validation run's partials, one dict per list for each amplitude scored,
     in grid order, and its failure ``(position, phase, error)`` or ``None``."""
 
-    hits: list  # tag -> (winners on the target, stream length)
+    hits: list  # (tag, use_ebf) -> (winners on the target, stream length); see _filter_runs
     errors: list  # index -> (summed relative error, estimate count)
     finite: list  # index -> whether every estimate is finite
-    streams: list  # filtered tag -> raw winner stream
     failure: tuple | None = None
 
 
@@ -405,45 +398,59 @@ def _score_run(
     Phase 0 of a failure is preparing the faulty rows, phase 1 scoring them and
     phase 2 an error sum that is not finite; a phase-2 amplitude is kept, with
     ``error`` ``None``, since its estimates decide what ``sweep`` raises. A tag in
-    ``filtered`` keeps its raw winners in the smallest dtype for a sensor index.
+    ``filtered`` keeps its raw winners, in the smallest sensor-index dtype, under ``(tag, True)``.
     """
     std_target = float(model.scaler.std[target])
-    score = _RunScore([], [], [], [])
+    score = _RunScore([], [], [])
     faulty = _faulty_runs(model, run, target, amplitudes, onset)
     for j, amplitude in enumerate(amplitudes):
         try:
             z = next(faulty)
         except SensorDiagError as exc:
             return score._replace(failure=(j, 0, exc))
-        hits, errors, finite, streams = {}, {}, {}, {}
+        hits, errors, finite = {}, {}, {}
         try:
             for tag in tags:
                 winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
-                hits[tag] = _target_hits(winners, target)
+                hits[tag, False] = _target_hits(winners, target)
                 if tag in filtered:
-                    streams[tag] = winners.astype(np.min_scalar_type(-model.n))
+                    hits[tag, True] = winners.astype(np.min_scalar_type(-model.n))
             for idx in indices:
                 estimates = estimate_matrix(model, z, target, idx) * std_target
                 errors[idx] = _error_sum(estimates, amplitude)
                 finite[idx] = bool(np.isfinite(estimates).all())
         except SensorDiagError as exc:
             return score._replace(failure=(j, 1, exc))
-        for parts, cell in zip(score, (hits, errors, finite, streams)):
+        for parts, cell in zip(score, (hits, errors, finite)):
             parts.append(cell)
         if not all(math.isfinite(err) for err, _ in errors.values()):
             return score._replace(failure=(j, 2, None))
     return score
 
 
-def _pool_runs(model: PcaModel, scores, target: int, grid, variants, ebf_params) -> list:
+def _filter_runs(model: PcaModel, scores, target: int, filtered, ebf_params) -> list:
+    """Replace each raw winner stream in ``scores`` by its filtered stream's target hits,
+    from one filter pass per tag over a right-padded batch. The filter is causal and starts
+    each row from a fresh state, so neither padding nor other rows change a stream's hits."""
+    cells = [hits for score in scores for hits in score.hits]
+    for tag in filtered if cells else ():
+        streams = [hits.pop((tag, True)) for hits in cells]
+        batch = np.zeros((len(streams), max(map(len, streams))), streams[0].dtype)
+        for row, stream in zip(batch, streams):
+            row[: stream.size] = stream
+        del streams  # the batch holds the only copy the filter reads
+        for row, hits in zip(filter_stream(batch, model.n, ebf_params), cells):
+            hits[tag, True] = _target_hits(row[: hits[tag, False][1]], target)
+    return scores
+
+
+def _pool_runs(scores, grid, variants) -> list:
     """Pool the runs' scores, each added in run order, into the report rows,
-    or raise the error ``sweep`` documents. The filtered tags' streams are
-    moved out of ``scores`` into the filter's batch.
-    """
+    or raise the error ``sweep`` documents."""
     # First in (position, phase, run) order: min keeps the earlier of two equal keys.
     failure = min((s.failure for s in scores if s.failure), key=lambda f: f[:2], default=None)
     scored = [i for i, a in enumerate(grid) if a != 0.0]  # a zero amplitude is skipped
-    iso: dict = {}  # (grid position, tag, use_ebf) -> isolation percentage
+    iso: dict = {}  # (grid position, (tag, use_ebf)) -> isolation percentage
     recon: dict = {}  # (grid position, index) -> reconstruction error
     for j, i in enumerate(scored):
         if failure is not None and failure[0] == j and failure[2] is not None:
@@ -462,30 +469,15 @@ def _pool_runs(model: PcaModel, scores, target: int, grid, variants, ebf_params)
                     "non-finite error; the faulty data overflow float64"
                 )
             recon[i, idx] = err
-        for tag in scores[0].hits[j]:
-            iso[i, tag, False] = _pool((s.hits[j][tag] for s in scores), "post-onset samples")
-    # Each filtered tag's streams go into one batch, right-padded: row
-    # j*R + r holds run r of R at the j-th scored amplitude. The filter is
-    # causal, so padding cannot change a stream's own declarations; each
-    # result is cut back to its stream's length. With no amplitude scored
-    # there is nothing to filter.
-    for tag in dict.fromkeys(tag for tag, use_ebf in variants if use_ebf and scored):
-        streams = [s.streams[j].pop(tag) for j in range(len(scored)) for s in scores]
-        batch = np.zeros((len(streams), max(map(len, streams))), streams[0].dtype)
-        for row, stream in zip(batch, streams):
-            row[: stream.size] = stream
-        del streams  # the batch holds the only copy the filter reads
-        out = filter_stream(batch, model.n, ebf_params)
-        for j, i in enumerate(scored):
-            group = [row[: s.hits[j][tag][1]] for row, s in zip(out[j * len(scores) :], scores)]
-            iso[i, tag, True] = isolation_percentage(group, target)
+        for key in scores[0].hits[j]:
+            iso[i, key] = _pool((s.hits[j][key] for s in scores), "post-onset samples")
     return [
         ReportRow(
             amplitude=amplitude or 0.0,  # a skipped -0.0 reads 0.0
             method=tag.method.value,
             index=tag.index.value,
             ebf=use_ebf,
-            isolation_pct=iso.get((i, tag, use_ebf)),
+            isolation_pct=iso.get((i, (tag, use_ebf))),
             recon_err_pct=recon.get((i, tag.index)),
             skipped=amplitude == 0.0,
         )
@@ -499,21 +491,24 @@ _PARALLEL_MIN_WORK = 500_000  # scored products worth a fork; README "Performanc
 
 def _blas_threads():
     """The ``(get, set)`` thread-count functions of numpy's OpenBLAS, or ``None``."""
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
-    for lib in map(ctypes.CDLL, sorted(paths)):
-        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
-                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-            if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
-                return (ctypes.CFUNCTYPE(ctypes.c_int)((name % "get", lib)),
-                        ctypes.CFUNCTYPE(None, ctypes.c_int)((name % "set", lib)))
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
+        for lib in map(ctypes.CDLL, sorted(paths)):
+            for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                         "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+                if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+                    return (ctypes.CFUNCTYPE(ctypes.c_int)((name % "get", lib)),
+                            ctypes.CFUNCTYPE(None, ctypes.c_int)((name % "set", lib)))
+    except OSError:  # no readable maps, or a mapped library that does not load
+        pass
     return None
 
 
 def _score_shares(score_share, count: int, work: int) -> list:
     """``score_share(lo, hi)`` over one contiguous share of ``range(count)`` per usable CPU,
-    in order: share 0 here and each other share in a child forked with BLAS at one
-    thread, or here if that child dies first. When to stay serial: README "Performance"."""
+    in order: share 0 here and each other share in a child forked with BLAS at one thread,
+    or here if it cannot be forked or dies first. When to stay serial: README "Performance"."""
     k = min(count, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     blas = _blas_threads() if k > 1 and hasattr(os, "fork") and work >= _PARALLEL_MIN_WORK else None
     if blas is None:
@@ -525,7 +520,11 @@ def _score_shares(score_share, count: int, work: int) -> list:
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
             r, w = os.pipe()
-            if (pid := os.fork()) == 0:  # the child: score the share, send it, exit
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM: the share is scored here, as a dead child's is
+                pid = None
+            if pid == 0:  # the child: score the share, send it, exit
                 try:
                     with open(w, "wb") as out:
                         pickle.dump(score_share(lo, hi), out, pickle.HIGHEST_PROTOCOL)
@@ -537,15 +536,16 @@ def _score_shares(score_share, count: int, work: int) -> list:
         for (_, pipe), lo, hi in zip(children, bounds[1:], bounds[2:]):
             try:
                 scores += pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):  # the child died before it delivered
+            except (EOFError, pickle.UnpicklingError):  # no child, or it died before it delivered
                 scores += score_share(lo, hi)
         return scores
     finally:
         put(threads)
         for pid, pipe in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
-            os.waitpid(pid, 0)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
+                os.waitpid(pid, 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
@@ -561,8 +561,8 @@ def sweep(
 ) -> EvalReport:
     """Evaluate every (amplitude, variant) cell over the validation runs.
 
-    With more than one usable CPU, large sweeps score shares of the runs in
-    forked child processes; the result is the same (README "Performance").
+    With more than one usable CPU, large sweeps score and filter shares of the runs
+    in forked child processes; the result is the same (README "Performance").
 
     Parameters
     ----------
@@ -581,8 +581,8 @@ def sweep(
     ebf_params : EbfParams, optional
         Accumulator constants for the filtered variants; the filter state
         resets at every run boundary, so every (amplitude, run) stream is
-        independent and all of them are filtered in one batched pass after
-        every run is scored.
+        independent, and each share of the runs filters its own streams in
+        one batched pass once they are scored.
 
     Raises
     ------
@@ -633,7 +633,7 @@ def sweep(
 
     tags = list(dict.fromkeys(tag for tag, _ in variants))
     indices = list(dict.fromkeys(tag.index for tag in tags))
-    filtered = {tag for tag, use_ebf in variants if use_ebf}
+    filtered = list(dict.fromkeys(tag for tag, use_ebf in variants if use_ebf))
     nonzero = [a for a in grid if a != 0.0]
     onsets = [run.m // 2 if onset_k is None else onset_k for run in runs]
     # Each run is scored into its own result. Only an earlier failure can matter,
@@ -648,8 +648,8 @@ def sweep(
             scores.append(score)
             if score.failure is not None:
                 limit = score.failure[0] + 1
-        return scores
+        return _filter_runs(model, scores, target, filtered, ebf_params)
 
     rows = sum(max(run.m - onset, 0) for run, onset in zip(runs, onsets))  # scored per amplitude
     scores = _score_shares(score_share, len(runs), rows * stop * (len(tags) + len(indices)))
-    return EvalReport(_pool_runs(model, scores, target, grid, variants, ebf_params), metadata)
+    return EvalReport(_pool_runs(scores, grid, variants), metadata)

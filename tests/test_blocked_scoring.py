@@ -9,6 +9,7 @@ others to 1e-9 relative.
 """
 
 import json
+import os
 import sys
 import tracemalloc
 
@@ -134,6 +135,12 @@ def traced_peak(fn, *args) -> tuple:
         tracemalloc.stop()
 
 
+def one_cpu(monkeypatch):
+    """Score eval's runs serially, in this process, on any host: the bound then
+    covers every run's streams, not only those of the parent's share."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 class TestMemoryBound:
     @pytest.fixture(scope="class")
     def model_and_rows(self):
@@ -237,9 +244,10 @@ class TestOneSeriesCopy:
         bound += model_nbytes + series_nbytes // 2
         assert peak < bound, (peak, bound)
 
-    def test_eval_holds_one_prepared_matrix(self, tmp_path, capsys):
+    def test_eval_holds_one_prepared_matrix(self, tmp_path, capsys, monkeypatch):
         # The prepared post-onset rows of one run are the largest array eval
         # builds, so holding every run's at once breaks the bound.
+        one_cpu(monkeypatch)
         n, d, m, runs, grid = 8, 10, 8000, 4, 6
         model = make_model(n=n, m=3000, seed=57, d=d)
         save_model(model, tmp_path / "model.json")
@@ -260,11 +268,12 @@ class TestOneSeriesCopy:
         bound = runs_nbytes + prepared_nbytes + streams_nbytes + block_nbytes + prepared_nbytes // 2
         assert peak < bound, (peak, bound)
 
-    def test_eval_holds_each_winner_stream_once(self, tmp_path, capsys):
+    def test_eval_holds_each_winner_stream_once(self, tmp_path, capsys, monkeypatch):
         # Many amplitudes over short rows make the filtered tag's int8 winner
-        # streams eval's largest arrays. Each is written once into the batch
-        # the filter reads, which with the filter's output makes two copies;
-        # a third copy breaks the bound.
+        # streams eval's largest arrays. Each moves out of its run's result
+        # into the batch the filter reads, which with the filter's output
+        # makes two copies; a third copy breaks the bound.
+        one_cpu(monkeypatch)
         n, d, m, runs, grid = 4, 1, 8000, 2, 100
         model = make_model(n=n, m=3000, seed=57, d=d)
         save_model(model, tmp_path / "model.json")

@@ -567,22 +567,23 @@ class TestErrorOrder:
 
 
 def scored_apart(model, runs, target, grid, variants=DEFAULT_VARIANTS, onset_k=None):
-    """``sweep``'s rows from each run scored on its own at every amplitude,
-    in reverse run order, each result through a pickle round trip, then
-    pooled in run order."""
+    """``sweep``'s rows from each run scored and filtered as its own share at
+    every amplitude, in reverse run order, each result through a pickle round
+    trip, then pooled in run order."""
     grid = [float(a) for a in grid]
     variants = list(variants)
     tags = list(dict.fromkeys(tag for tag, _ in variants))
     indices = list(dict.fromkeys(tag.index for tag in tags))
-    filtered = {tag for tag, use_ebf in variants if use_ebf}
+    filtered = list(dict.fromkeys(tag for tag, use_ebf in variants if use_ebf))
     nonzero = [a for a in grid if a != 0.0]
     scores = [None] * len(runs)
     with np.errstate(over="ignore", invalid="ignore"):
         for r in reversed(range(len(runs))):
             onset = runs[r].m // 2 if onset_k is None else onset_k
             score = harness._score_run(model, runs[r], target, nonzero, onset, tags, indices, filtered)
-            scores[r] = pickle.loads(pickle.dumps(score))
-        return harness._pool_runs(model, scores, target, grid, variants, EbfParams())
+            share = harness._filter_runs(model, [score], target, filtered, EbfParams())
+            [scores[r]] = pickle.loads(pickle.dumps(share))
+        return harness._pool_runs(scores, grid, variants)
 
 
 def outcome(rows):
@@ -644,6 +645,20 @@ class TestRunIndependence:
         expected = outcome(lambda: sweep(model, runs, target, grid, **kwargs).rows)
         assert isinstance(expected, list) == (case in ("default", "ebf-ragged"))
         assert outcome(lambda: scored_apart(model, runs, target, grid, **kwargs)) == expected
+
+    def test_a_share_sends_back_numbers_only(self, monkeypatch):
+        # A child pickles its share's results back to the parent: once the
+        # share has filtered its streams, they hold counts, sums and flags.
+        sent = []
+
+        def one_share(score_share, count, work):
+            sent.append(pickle.dumps(score_share(0, count)))
+            return pickle.loads(sent[-1])
+
+        monkeypatch.setattr(harness, "_score_shares", one_share)
+        model, runs, target, grid, kwargs = self.CASES["ebf-ragged"]()
+        sweep(model, runs, target, grid, **kwargs)
+        assert len(sent) == 1 and b"numpy" not in sent[0]
 
 
 class TestSignSymmetry:

@@ -7,6 +7,8 @@ of the serial sweep, the parent's BLAS thread count must come back, and no
 child may be left running.
 """
 
+import ctypes
+import errno
 import json
 import os
 
@@ -164,7 +166,15 @@ def forbidden_fork():
     raise AssertionError("os.fork was called")
 
 
-@pytest.mark.parametrize("reason", ["no-pin", "one-cpu", "no-fork", "below-threshold"])
+def unreadable(*args, **kwargs):
+    raise FileNotFoundError(2, "No such file or directory", "/proc/self/maps")
+
+
+def unloadable(*args, **kwargs):
+    raise OSError("cannot open shared object file")
+
+
+@pytest.mark.parametrize("reason", ["no-pin", "one-cpu", "no-fork", "below-threshold", "no-maps", "no-lib"])
 def test_serial_fallback_never_forks(monkeypatch, reason):
     model, runs = th.small_model(), th.validation_runs(3)
     expected = [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0]).rows]
@@ -176,6 +186,10 @@ def test_serial_fallback_never_forks(monkeypatch, reason):
         shares(monkeypatch, 1)
     elif reason == "no-fork":
         monkeypatch.delattr(os, "fork")
+    elif reason == "no-maps":
+        monkeypatch.setattr(harness, "open", unreadable, raising=False)
+    elif reason == "no-lib":
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
     else:
         monkeypatch.setattr(harness, "_PARALLEL_MIN_WORK", 10**18)
     assert [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0]).rows] == expected
@@ -197,4 +211,27 @@ def test_a_dead_childs_share_is_scored_by_the_parent(monkeypatch):
     monkeypatch.setattr(harness, "_score_run", dying_child)
     shares(monkeypatch, 4)
     assert [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0, 0.5], variants).rows] == expected
+    no_child_left()
+
+
+@needs_blas
+@pytest.mark.parametrize("failing", [{1}, {2}, {1, 2, 3}], ids=["first-fork", "second-fork", "every-fork"])
+def test_a_failed_forks_share_is_scored_by_the_parent(monkeypatch, failing):
+    model, runs = th.small_model(), th.validation_runs(4)
+    variants = [(th.RBC_T2, True), (th.CP_SPE, False)]
+    expected = [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0, 0.5], variants).rows]
+    fds = len(os.listdir("/proc/self/fd"))
+    forks, fork = [], os.fork
+
+    def fork_out_of_processes():
+        forks.append(1)
+        if len(forks) in failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_out_of_processes)
+    shares(monkeypatch, 4)
+    assert [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0, 0.5], variants).rows] == expected
+    assert len(forks) == 3
+    assert len(os.listdir("/proc/self/fd")) == fds  # both ends of each pipe are closed
     no_child_left()

@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonin import integer, list_of, read_object, real
-from .dataset import apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
+from .dataset import (
+    _embedded_rows, apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
+)
 from .detection import _row_blocks, spe, t2
 from .ebf import EbfParams, EbfState, ebf_decide, ebf_step
 from .errors import (
@@ -298,21 +300,19 @@ def cmd_monitor(args, cfg: dict) -> int:
     params = _ebf_params(cfg)
     d = model.d
     # One list of near-equal row blocks, each at most _RENDER_LINES long,
-    # serves scoring and rendering. Embedded row e reads raw rows e .. e + d,
-    # so each block scales and embeds only its own window of the raw series,
-    # and memory is bounded by the block. Every block is scored before the
-    # first line is written.
+    # serves scoring and rendering. Each block embeds only the raw rows it
+    # reads (dataset._embedded_rows), so memory is bounded by the block.
+    # Every block is scored before the first line is written.
     blocks = _row_blocks(raw.m - d, _RENDER_LINES)
     spe_all, t2_all = np.empty(raw.m - d), np.empty(raw.m - d)
     winner_all = np.empty(raw.m - d, dtype=np.min_scalar_type(-model.n))
     for blk in blocks:
-        window = replace(raw, samples=raw.samples[blk.start : blk.stop + d])
-        z = embed_lags(apply_scaler(window, model.scaler), d).samples
+        z = _embedded_rows(raw, model.scaler, d, blk)
         spe_all[blk] = spe(model, z)
         t2_all[blk] = t2(model, z)
         winner_all[blk] = contribution_matrix(model, z, tag).argmax(axis=1)
         del z  # free this block before the next one is embedded
-    del raw, window  # the replay reads only the scores
+    del raw  # the replay reads only the scores
     # json.dumps spelling: a finite float prints as its repr, as %r does.
     line = (
         '{"k": %d, "spe": %r, "t2": %r, "spe_exceeds": %s, "t2_exceeds": %s, '

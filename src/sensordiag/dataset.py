@@ -215,6 +215,17 @@ def embed_lags(data: ScaledDataset, d: int) -> ScaledDataset:
     )
 
 
+def _embedded_rows(data: RawDataset, scaler: ScalerParams, d: int, rows) -> np.ndarray:
+    """Rows ``rows`` (non-empty, step 1) of ``embed_lags(apply_scaler(data, scaler), d).samples``,
+    the same bits. Embedded row ``e`` reads raw rows ``e .. e + d``, so only the raw
+    rows ``rows`` read are scaled and embedded: scaling acts on each value alone and
+    embedding only copies."""
+    lo = min(rows.start, data.m - 2)  # a dataset holds at least two rows,
+    hi = max(rows.stop + d, lo + 2)  # so a shorter window grows to two
+    window = RawDataset(data.samples[lo:hi], data.sensor_names)
+    return embed_lags(apply_scaler(window, scaler), d).samples[rows.start - lo : rows.stop - lo]
+
+
 # Body rows formatted per write.
 _CSV_CHUNK_ROWS = 8192
 

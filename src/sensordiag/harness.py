@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RawDataset, ScalerParams, apply_scaler, embed_lags
+from .dataset import RawDataset, ScalerParams, _embedded_rows
 from .ebf import EbfParams, filter_stream
 from .errors import (
     AmplitudeOverflow,
@@ -124,15 +124,14 @@ def _companion_radius(ar1: np.ndarray, ar2: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_companion(ar1, ar2)))))
 
 
-def _stationary_covariance(
-    ar1: np.ndarray, ar2: np.ndarray, noise_std: float
-) -> np.ndarray:
-    """Stationary covariance of the VAR(2) state, from the companion-form
-    discrete Lyapunov equation solved as a dense Kronecker linear system."""
+def _stationary_covariance(ar1: np.ndarray, ar2: np.ndarray) -> np.ndarray:
+    """Stationary covariance of the VAR(2) state under unit noise, from the
+    companion-form discrete Lyapunov equation solved as a dense Kronecker
+    linear system."""
     n = ar1.shape[0]
     f = _companion(ar1, ar2)
     q = np.zeros((2 * n, 2 * n))
-    q[:n, :n] = noise_std**2 * np.eye(n)
+    q[:n, :n] = np.eye(n)
     dim = 2 * n
     lhs = np.eye(dim * dim) - np.kron(f, f)
     sigma = np.linalg.solve(lhs, q.ravel()).reshape(dim, dim)
@@ -175,7 +174,7 @@ def default_sim_config(
     spectrum *= n_sensors / spectrum.sum()
     orient, _ = np.linalg.qr(rng.standard_normal((n_sensors, n_sensors)))
     target = (orient * spectrum) @ orient.T
-    sigma_y = _stationary_covariance(ar1, ar2, noise_std=1.0)
+    sigma_y = _stationary_covariance(ar1, ar2)
     mixing = _symmetric_power(target, 0.5) @ _symmetric_power(sigma_y, -0.5)
     return SimConfig(
         n_sensors=n_sensors,
@@ -204,8 +203,7 @@ def simulate(config: SimConfig) -> RawDataset:
     noise = rng.normal(0.0, config.noise_std, size=(total, n))
     y = np.zeros((total, n))
     y[0] = noise[0]
-    if total > 1:
-        y[1] = config.ar1 @ y[0] + noise[1]
+    y[1] = config.ar1 @ y[0] + noise[1]
     for t in range(2, total):
         y[t] = config.ar1 @ y[t - 1] + config.ar2 @ y[t - 2] + noise[t]
     x = y[_BURN_IN:] @ config.mixing.T
@@ -336,26 +334,12 @@ DEFAULT_VARIANTS: tuple[tuple[IsolationMethod, bool], ...] = (
 )
 
 
-def _prepare_run(run: RawDataset, fault: FaultSpec, scaler: ScalerParams, d: int) -> np.ndarray:
-    """Inject, standardize, lag-embed; return the post-onset evaluation rows.
-
-    The fault is injected into the whole run, so an overflow names the
-    onset in the run's own rows, but only the raw rows from ``onset - d``
-    on, the ones the evaluation rows read, are scaled and embedded.
-    Injection and scaling act on each value alone and embedding only
-    copies, so the result is bit-identical to preparing the whole run and
-    dropping the leading rows.
-    """
-    faulty = inject_fault(run, fault)
-    start = max(0, fault.onset_k - d)
-    lo = min(start, run.m - 2)  # a dataset holds at least two rows
-    tail = replace(faulty, samples=faulty.samples[lo:])
-    return embed_lags(apply_scaler(tail, scaler), d).samples[start - lo :]
-
-
 def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onset: int):
     """Yield the evaluation rows of ``run`` with a step fault on ``target``
-    for each amplitude in turn.
+    for each amplitude in turn: the embedded rows from ``onset - d`` on, the
+    first to read a faulty sample, each from ``dataset._embedded_rows``. The
+    fault is injected into the whole run, so an overflow names the onset in
+    the run's own rows.
 
     Every amplitude is yielded in one matrix, overwritten in place by the
     next, so no caller may keep it; ``sweep`` uses up one run's generator
@@ -368,15 +352,15 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
     column = RawDataset(run.samples[:, target : target + 1], (run.sensor_names[target],))
     scaler = model.scaler
     column_scaler = ScalerParams(scaler.mean[target : target + 1], scaler.std[target : target + 1])
+    rows = range(max(0, onset - model.d), run.m - model.d)
     z = None
     for amplitude in amplitudes:
         fault = FaultSpec(sensor=target, amplitude=amplitude, onset_k=onset)
         if z is None:
-            z = _prepare_run(run, fault, scaler, model.d)
+            z = _embedded_rows(inject_fault(run, fault), scaler, model.d, rows)
         else:
-            z[:, target :: model.n] = _prepare_run(
-                column, replace(fault, sensor=0), column_scaler, model.d
-            )
+            faulty = inject_fault(column, replace(fault, sensor=0))
+            z[:, target :: model.n] = _embedded_rows(faulty, column_scaler, model.d, rows)
         yield z
 
 

@@ -83,7 +83,6 @@ class ContributionVector:
     """
 
     values: np.ndarray
-    method_tag: IsolationMethod
     winner: int
 
 
@@ -178,9 +177,7 @@ def contributions(
     if x.ndim != 1:
         raise DimensionMismatch("contributions expects a single sample vector")
     values = contribution_matrix(model, x, method_tag)[0]
-    return ContributionVector(
-        values=values, method_tag=method_tag, winner=int(np.argmax(values))
-    )
+    return ContributionVector(values=values, winner=int(np.argmax(values)))
 
 
 def estimate_matrix(

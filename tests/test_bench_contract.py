@@ -137,9 +137,10 @@ def test_monitor_embeds_block_by_block(long_series, monkeypatch, capsys, tmp_pat
     # benchmark's peak_rss_mb on monitor_replay depends on it.
     d = long_series["d"]
     embedded, steps = [], []
+    embed_lags = dataset.embed_lags
 
     def recording_embed(data, lags):
-        out = dataset.embed_lags(data, lags)
+        out = embed_lags(data, lags)
         embedded.append((data.m, out.m))
         return out
 
@@ -147,7 +148,7 @@ def test_monitor_embeds_block_by_block(long_series, monkeypatch, capsys, tmp_pat
         steps.append(1)
         return ebf.ebf_step(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "embed_lags", recording_embed)
+    monkeypatch.setattr(dataset, "embed_lags", recording_embed)
     monkeypatch.setattr(cli, "ebf_step", counting_step)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({}))

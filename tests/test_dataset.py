@@ -25,7 +25,7 @@ from sensordiag.errors import (
     NonFiniteResult,
     ZeroVarianceColumn,
 )
-from sensordiag.dataset import _CSV_CHUNK_ROWS
+from sensordiag.dataset import _CSV_CHUNK_ROWS, _embedded_rows
 from conftest import make_raw, oracle_inverse_scaler, oracle_read_raw_csv, oracle_write_raw_csv
 
 
@@ -169,6 +169,42 @@ class TestEmbedLags:
         stored = json.loads((tmp_path / "model.json").read_text("utf-8"))["scaler"]
         assert stored["mean"] == np.tile(scaled.scaler.mean, 3).tolist()
         assert stored["std"] == np.tile(scaled.scaler.std, 3).tolist()
+
+
+class TestEmbeddedRows:
+    """``_embedded_rows`` gives the bytes of the whole series scaled, embedded and sliced."""
+
+    @staticmethod
+    def check(m, n, d, start, stop, seed):
+        rng = np.random.default_rng(seed)
+        raw = RawDataset(rng.standard_normal((m, n)) * 50.0 + 3.0, tuple(f"c{i}" for i in range(n)))
+        scaler = ScalerParams(rng.standard_normal(n), rng.uniform(0.1, 10.0, n))
+        expected = embed_lags(apply_scaler(raw, scaler), d).samples[range(start, stop)]
+        for rows in (range(start, stop), slice(start, stop)):  # sweep passes ranges, monitor slices
+            got = _embedded_rows(raw, scaler, d, rows)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @given(
+        d=st.sampled_from([0, 1, 3]),
+        n=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_range_matches_the_whole_series(self, d, n, seed, data):
+        m = data.draw(st.integers(min_value=max(2, d + 1), max_value=40), label="m")
+        start = data.draw(st.integers(min_value=0, max_value=m - d - 1), label="start")
+        stop = data.draw(st.integers(min_value=start + 1, max_value=m - d), label="stop")
+        self.check(m, n, d, start, stop, seed)
+
+    @pytest.mark.parametrize(
+        ("m", "d", "start", "stop"),
+        [(6, 0, 5, 6), (6, 0, 0, 1), (9, 3, 0, 2), (9, 3, 0, 6)],
+        ids=["one-row-at-d0-clamped", "one-row-at-d0-grown", "from-row-0", "full-series"],
+    )
+    def test_edge_ranges(self, m, d, start, stop):
+        self.check(m, 2, d, start, stop, seed=7)
 
 
 class TestValidation:

@@ -206,15 +206,15 @@ def cmd_fit(args, cfg: dict) -> int:
     # embedded matrix once the model is fitted, so save_model builds its JSON
     # text beside none of them.
     data = read_raw_csv(args.train_csv)
-    scaled = apply_scaler(data, fit_scaler(data))
+    scaler = fit_scaler(data)  # a constant column is a data error at any row count
+    if data.m < d + 2:  # embed_lags leaves m - d rows; a covariance needs two
+        raise ConfigError(
+            f"{args.train_csv}: {data.m} rows too few for lag_depth {d} (need at least {d + 2})"
+        )
+    scaled = apply_scaler(data, scaler)
     del data
     embedded = embed_lags(scaled, d)
     del scaled
-    if embedded.m < 2:  # embed_lags leaves m - d rows; a covariance needs two
-        raise ConfigError(
-            f"{args.train_csv}: {embedded.m + d} rows too few for lag_depth {d} "
-            f"(need at least {d + 2})"
-        )
     model = fit_pca(embedded, cfg["variance_fraction"], cfg["alpha"])
     del embedded
     save_model(model, model_out)
@@ -313,35 +313,99 @@ def cmd_monitor(args, cfg: dict) -> int:
         winner_all[blk] = contribution_matrix(model, z, tag).argmax(axis=1)
         del z  # free this block before the next one is embedded
     del raw  # the replay reads only the scores
+    spe_over, t2_over = spe_all > model.spe_limit, t2_all > model.t2_limit
+    steps = spe_over | t2_over | (not gate)  # the gate skips a step where neither index alarms
     # json.dumps spelling: a finite float prints as its repr, as %r does.
     line = (
         '{"k": %d, "spe": %r, "t2": %r, "spe_exceeds": %s, "t2_exceeds": %s, '
         '"raw_winner": %d, "ebf_declared": %s, "s": [' + ", ".join(["%r"] * model.n) + "]}\n"
     )
     state = EbfState.fresh(model.n)
-    for blk in blocks:
-        winners = winner_all[blk].tolist()
-        spe_exceeds = (spe_all[blk] > model.spe_limit).tolist()
-        t2_exceeds = (t2_all[blk] > model.t2_limit).tolist()
+
+    def evidence(blk) -> bytes:  # each row's levels, then each row's declaration, -1 for none
+        nonlocal state
         declared, levels = [], []
-        for winner, spe_hit, t2_hit in zip(winners, spe_exceeds, t2_exceeds):
-            if not gate or spe_hit or t2_hit:
+        for winner, step in zip(winner_all[blk].tolist(), steps[blk].tolist()):
+            if step:
                 state = ebf_step(state, winner, params)
             decision = ebf_decide(state, params)
-            declared.append("null" if decision is None else decision)
+            declared.append(-1 if decision is None else decision)
             levels.append(state.s)
+        return np.array(levels).tobytes() + np.array(declared, winner_all.dtype).tobytes()
+
+    def render(blk, payload: bytes) -> str:
+        levels = np.frombuffer(payload, count=(blk.stop - blk.start) * model.n)
+        declared = np.frombuffer(payload, winner_all.dtype, offset=levels.nbytes)
         cols = [
-            range(blk.start + d, blk.stop + d),
-            spe_all[blk].tolist(),
-            t2_all[blk].tolist(),
-            [_JSON_BOOL[hit] for hit in spe_exceeds],
-            [_JSON_BOOL[hit] for hit in t2_exceeds],
-            winners,
-            declared,
-            *np.array(levels).T.tolist(),
+            range(blk.start + d, blk.stop + d), spe_all[blk].tolist(), t2_all[blk].tolist(),
+            [_JSON_BOOL[hit] for hit in spe_over[blk].tolist()],
+            [_JSON_BOOL[hit] for hit in t2_over[blk].tolist()],
+            winner_all[blk].tolist(), ["null" if v < 0 else v for v in declared.tolist()],
+            *levels.reshape(-1, model.n).T.tolist(),
         ]
-        sys.stdout.write((line * len(winners)) % tuple(chain.from_iterable(zip(*cols))))
+        return (line * len(declared)) % tuple(chain.from_iterable(zip(*cols)))
+
+    _write_blocks(blocks, evidence, render)
     return 0
+
+
+def _write_blocks(blocks, evidence, render) -> None:
+    """Write ``render(blk, evidence(blk))`` per block, in order, with every evidence step here and,
+    on two usable CPUs, block i - 1 rendered meanwhile in a forked child, or here once it dies.
+    Each side reads while the other sends, so neither blocks (README "Performance")."""
+    import socket  # here, not at the top, so the other commands do not load it (0.4 MB)
+
+    def send(sock, message: bytes) -> bool:  # False if the peer is gone (EPIPE or ECONNRESET)
+        try:
+            sock.sendall(len(message).to_bytes(8, "little") + message, socket.MSG_NOSIGNAL)
+            return True
+        except OSError:
+            return False
+
+    def receive(inbox) -> bytes | None:  # None if the sender died before all of it came
+        try:
+            head = inbox.read(8)
+            body = inbox.read(int.from_bytes(head, "little"))
+        except OSError:  # ECONNRESET: the sender died with bytes of ours unread
+            return None
+        return body if len(head) == 8 and len(body) == int.from_bytes(head, "little") else None
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pid = sock = pending = None  # pending: the block the child is rendering
+    if len(blocks) > 1 and cpus > 1 and hasattr(os, "fork") and hasattr(socket, "MSG_NOSIGNAL"):
+        sock, theirs = socket.socketpair()
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN or ENOMEM: render here
+            sock = sock.close()
+        if pid == 0:  # the child: render each block it is sent until its input ends
+            try:
+                sock.close()
+                inbox = theirs.makefile("rb")
+                for blk, payload in zip(blocks, iter(lambda: receive(inbox), None)):
+                    send(theirs, render(blk, payload).encode())
+            finally:
+                os._exit(0)
+        theirs.close()
+    live, inbox = sock is not None, sock and sock.makefile("rb")
+    try:
+        for blk in [*blocks, None]:
+            block = None if blk is None else (blk, evidence(blk))
+            reply = None if pending is None else receive(inbox)  # R[i-1] in
+            live = live and (pending is None or reply is not None)
+            if live and block is not None:
+                live = send(sock, block[1])  # E[i] out
+            if pending is not None:
+                sys.stdout.write(render(*pending) if reply is None else reply.decode())
+            pending = block if live else None
+            if block is not None and not live:
+                sys.stdout.write(render(*block))
+    finally:
+        if pid:
+            inbox.close()
+            sock.close()
+            os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
+            os.waitpid(pid, 0)
 
 
 def cmd_simulate(args, cfg: dict) -> int:

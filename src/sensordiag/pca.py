@@ -102,7 +102,10 @@ class PcaModel:
         n_e, l = self.n_e, self.l
         for name, shape in [("p_hat", (n_e, l)), ("p_tilde", (n_e, n_e - l)),
                             ("lambda_hat", (l,)), ("lambda_tilde", (n_e - l,))]:
-            array = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            try:
+                array = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            except (TypeError, ValueError):  # ragged, not numbers, or of another size
+                raise ValueError(f"{name} must be an array of numbers of shape {shape}") from None
             object.__setattr__(self, name, array)
         object.__setattr__(self, "sensor_names", tuple(str(s) for s in self.sensor_names))
         if len(self.scaler) != self.n:

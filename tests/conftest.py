@@ -203,6 +203,8 @@ MODEL_DEFECTS = {
     "l_negative": (_set("l", -1), "out of range"),
     "n_zero": (_set("n", 0), "out of range"),
     "d_negative": (_set("d", -1), "out of range"),
+    "lambda_hat_ragged": (_set("lambda_hat", [1.0, [2.0]]), "lambda_hat must be an array of numbers of shape"),
+    "p_hat_nested": (_set("p_hat", [[[1.0]]]), "p_hat must be an array of numbers of shape"),
     "nested_document": (lambda p: _DEEP, "maximum recursion depth exceeded"),
     "nested_scaler": (_set("scaler", _DEEP), "maximum recursion depth exceeded"),
     "nested_p_hat": (_set("p_hat", _DEEP), "maximum recursion depth exceeded"),

@@ -11,6 +11,8 @@ that stops reaching one of them.
 import importlib
 import inspect
 import json
+import os
+import socket
 import sys
 from pathlib import Path
 
@@ -113,9 +115,11 @@ def test_expected_spans_fire_on_a_tiny_run(workload, tiny_workspace, monkeypatch
     assert not set(spans) - fired, f"never reached: {sorted(set(spans) - fired)}"
 
 
-def test_monitor_steps_once_per_line(tiny_workspace, monkeypatch, capsys):
+def test_monitor_steps_once_per_line(tiny_workspace, long_series, monkeypatch, capsys):
     # The benchmark pins ebf.ebf_step.calls == rows - d on monitor_replay;
-    # with the detection gate off every emitted line is one step.
+    # with the detection gate off every emitted line is one step. The traced
+    # run counts the calls of one process, so on the pipelined path (a
+    # multi-block series on two CPUs) every step must still run in the parent.
     root, config, data, model = tiny_workspace
     calls = []
 
@@ -130,6 +134,17 @@ def test_monitor_steps_once_per_line(tiny_workspace, monkeypatch, capsys):
     assert not cli.load_config(str(config))["monitor"]["gate_on_detection"]
     assert len(lines) == TINY_CONFIG["simulate"]["m_validation"] - TINY_CONFIG["lag_depth"]
     assert len(calls) == len(lines)
+    if not hasattr(os, "fork"):
+        return
+    calls.clear()
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ["--config", str(config), "monitor", str(long_series["model"]), str(long_series["csv"])]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(forks) == (1 if hasattr(socket, "MSG_NOSIGNAL") else 0)
+    assert len(calls) == len(lines) == long_series["rows"] - long_series["d"]
 
 
 def test_monitor_embeds_block_by_block(long_series, monkeypatch, capsys, tmp_path):

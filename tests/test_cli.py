@@ -448,6 +448,8 @@ class TestMonitor:
             "nested_document",
             "nested_scaler",
             "nested_p_hat",
+            "lambda_hat_ragged",
+            "p_hat_nested",
         ],
     )
     def test_model_invariant_violation_exit_2(self, tmp_path, workspace, capsys, defect):
@@ -458,7 +460,9 @@ class TestMonitor:
             ["--config", workspace["config"], "monitor", str(model), str(workspace["validation"][0])]
         )
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and err.startswith(f"data error: {model}: ")
 
     def test_full_variance_model_round_trips(self, tmp_path, workspace, capsys):
         # variance_fraction 1.0 keeps every component, so fit writes
@@ -989,6 +993,20 @@ class TestOneLineErrors:
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr == f"config error: {train}: 2 rows too few for lag_depth 1 (need at least 3)\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_fit_within_lag_depth_names_the_rows_needed(self, tmp_path, workspace, rows):
+        # A cut of at most lag_depth rows and one of lag_depth + 1 rows fail
+        # the same check, so they read the same message.
+        train = tmp_path / "train.csv"
+        with open(workspace["train"], encoding="utf-8") as fh:
+            train.write_text("".join(fh.readline() for _ in range(1 + rows)))
+        model = tmp_path / "model.json"
+        config = write_config(tmp_path, {"lag_depth": 2})
+        proc = run_cli(["--config", config, "fit", str(train), "--model-out", str(model)], tmp_path)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"config error: {train}: {rows} rows too few for lag_depth 2 (need at least 4)\n"
         assert not model.exists()
 
     @pytest.mark.parametrize("command", ["eval", "monitor"])

@@ -381,6 +381,22 @@ class TestLoadInvariants:
         with pytest.raises(CorruptModelFile, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lambda_hat", [1.0, [2.0]]), ("p_hat", [[[1.0]]]), ("p_tilde", [[1.0, 2.0], [3.0]]),
+         ("lambda_tilde", [[1.0], [2.0]]), ("lambda_hat", ["one"])],
+    )
+    def test_misshaped_field_is_named_with_its_shape(self, payload, tmp_path, field, value):
+        raw = json.loads(payload)
+        n_e, l = raw["n"] * (raw["d"] + 1), raw["l"]
+        shape = {"p_hat": (n_e, l), "p_tilde": (n_e, n_e - l), "lambda_hat": (l,), "lambda_tilde": (n_e - l,)}
+        raw[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CorruptModelFile) as caught:
+            load_model(path)
+        assert str(caught.value) == f"{path}: {field} must be an array of numbers of shape {shape[field]}"
+
     def test_untampered_payload_loads(self, payload, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(payload)

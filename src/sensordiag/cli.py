@@ -34,7 +34,9 @@ from .errors import (
     IndexOutOfRange,
     SensorDiagError,
 )
-from .harness import DEFAULT_VARIANTS, default_sim_config, simulate, sweep
+from .harness import (
+    DEFAULT_VARIANTS, _fork, _reap, _usable_cpus, default_sim_config, simulate, sweep
+)
 from .isolation import (
     ContributionMethod,
     DetectionIndex,
@@ -135,6 +137,7 @@ DEFAULT_CONFIG: dict = _resolve(_SCHEMA, {})
 # enough that the embedded block and the rendered text stay small
 # transients, large enough to amortise each call.
 _RENDER_LINES = 1024
+_PIPELINE_MIN_BLOCKS = 4  # blocks worth a render child; README "Performance" derives it
 _JSON_BOOL = ("false", "true")
 
 
@@ -337,10 +340,13 @@ def cmd_monitor(args, cfg: dict) -> int:
         levels = np.frombuffer(payload, count=(blk.stop - blk.start) * model.n)
         declared = np.frombuffer(payload, winner_all.dtype, offset=levels.nbytes)
         cols = [
-            range(blk.start + d, blk.stop + d), spe_all[blk].tolist(), t2_all[blk].tolist(),
+            range(blk.start + d, blk.stop + d),
+            spe_all[blk].tolist(),
+            t2_all[blk].tolist(),
             [_JSON_BOOL[hit] for hit in spe_over[blk].tolist()],
             [_JSON_BOOL[hit] for hit in t2_over[blk].tolist()],
-            winner_all[blk].tolist(), ["null" if v < 0 else v for v in declared.tolist()],
+            winner_all[blk].tolist(),
+            ["null" if v < 0 else v for v in declared.tolist()],
             *levels.reshape(-1, model.n).T.tolist(),
         ]
         return (line * len(declared)) % tuple(chain.from_iterable(zip(*cols)))
@@ -350,9 +356,10 @@ def cmd_monitor(args, cfg: dict) -> int:
 
 
 def _write_blocks(blocks, evidence, render) -> None:
-    """Write ``render(blk, evidence(blk))`` per block, in order, with every evidence step here and,
-    on two usable CPUs, block i - 1 rendered meanwhile in a forked child, or here once it dies.
-    Each side reads while the other sends, so neither blocks (README "Performance")."""
+    """Write ``render(blk, evidence(blk))`` per block, in order, with every evidence step here
+    and, on two usable CPUs and at least _PIPELINE_MIN_BLOCKS blocks, block i - 1 rendered
+    meanwhile in a forked child, or here once it dies. Each side reads while the other sends,
+    so neither blocks (README "Performance")."""
     import socket  # here, not at the top, so the other commands do not load it (0.4 MB)
 
     def send(sock, message: bytes) -> bool:  # False if the peer is gone (EPIPE or ECONNRESET)
@@ -370,14 +377,11 @@ def _write_blocks(blocks, evidence, render) -> None:
             return None
         return body if len(head) == 8 and len(body) == int.from_bytes(head, "little") else None
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    pid = sock = pending = None  # pending: the block the child is rendering
-    if len(blocks) > 1 and cpus > 1 and hasattr(os, "fork") and hasattr(socket, "MSG_NOSIGNAL"):
+    pid = sock = None
+    fits = len(blocks) >= _PIPELINE_MIN_BLOCKS and _usable_cpus() > 1
+    if fits and hasattr(os, "fork") and hasattr(socket, "MSG_NOSIGNAL"):
         sock, theirs = socket.socketpair()
-        try:
-            pid = os.fork()
-        except OSError:  # EAGAIN or ENOMEM: render here
-            sock = sock.close()
+        pid = _fork()  # None: every block is rendered here
         if pid == 0:  # the child: render each block it is sent until its input ends
             try:
                 sock.close()
@@ -387,25 +391,33 @@ def _write_blocks(blocks, evidence, render) -> None:
             finally:
                 os._exit(0)
         theirs.close()
-    live, inbox = sock is not None, sock and sock.makefile("rb")
+        inbox = sock.makefile("rb")
+    live = bool(pid)  # a child is there to render
+    pending = None  # the block the child is rendering, with its evidence
+
+    def collect() -> bool:  # write the pending block's text; False if the child died owing it
+        reply = receive(inbox)
+        sys.stdout.write(render(*pending) if reply is None else reply.decode())
+        return reply is not None
+
     try:
-        for blk in [*blocks, None]:
-            block = None if blk is None else (blk, evidence(blk))
-            reply = None if pending is None else receive(inbox)  # R[i-1] in
-            live = live and (pending is None or reply is not None)
-            if live and block is not None:
-                live = send(sock, block[1])  # E[i] out
+        for blk in blocks:
+            payload = evidence(blk)
             if pending is not None:
-                sys.stdout.write(render(*pending) if reply is None else reply.decode())
-            pending = block if live else None
-            if block is not None and not live:
-                sys.stdout.write(render(*block))
+                live = collect()  # R[i-1] in
+            if live:
+                live = send(sock, payload)  # E[i] out
+            pending = (blk, payload) if live else None
+            if not live:
+                sys.stdout.write(render(blk, payload))
+        if pending is not None:
+            collect()
     finally:
-        if pid:
+        if sock is not None:
             inbox.close()
             sock.close()
-            os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
-            os.waitpid(pid, 0)
+        if pid:
+            _reap(pid)
 
 
 def cmd_simulate(args, cfg: dict) -> int:

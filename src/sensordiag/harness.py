@@ -489,11 +489,29 @@ def _blas_threads():
     return None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork() -> int | None:
+    """``os.fork()``, or ``None`` where it fails (``EAGAIN`` at the process limit or ``ENOMEM``)."""
+    try:
+        return os.fork()
+    except OSError:
+        return None
+
+
+def _reap(pid: int) -> None:
+    os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
+    os.waitpid(pid, 0)
+
+
 def _score_shares(score_share, count: int, work: int) -> list:
     """``score_share(lo, hi)`` over one contiguous share of ``range(count)`` per usable CPU,
     in order: share 0 here and each other share in a child forked with BLAS at one thread,
     or here if it cannot be forked or dies first. When to stay serial: README "Performance"."""
-    k = min(count, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    k = min(count, _usable_cpus())
     blas = _blas_threads() if k > 1 and hasattr(os, "fork") and work >= _PARALLEL_MIN_WORK else None
     if blas is None:
         return score_share(0, count)
@@ -504,10 +522,7 @@ def _score_shares(score_share, count: int, work: int) -> list:
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
             r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # EAGAIN or ENOMEM: the share is scored here, as a dead child's is
-                pid = None
+            pid = _fork()  # None: the share is scored here, as a dead child's is
             if pid == 0:  # the child: score the share, send it, exit
                 try:
                     with open(w, "wb") as out:
@@ -528,8 +543,7 @@ def _score_shares(score_share, count: int, work: int) -> list:
         for pid, pipe in children:
             pipe.close()
             if pid is not None:
-                os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
-                os.waitpid(pid, 0)
+                _reap(pid)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned

@@ -207,15 +207,21 @@ def test_a_failed_fork_renders_here(tmp_path, monkeypatch, long_series, failure)
     no_child_left()
 
 
-@pytest.mark.parametrize("lines", [1, cli._RENDER_LINES])
-def test_a_single_block_never_forks(tmp_path, monkeypatch, long_series, lines):
+SHORTEST_PIPELINED = (cli._PIPELINE_MIN_BLOCKS - 1) * cli._RENDER_LINES + 1  # lines
+
+
+@pytest.mark.parametrize("lines", [1, cli._RENDER_LINES, SHORTEST_PIPELINED - 1, SHORTEST_PIPELINED])
+def test_only_a_series_long_enough_to_pay_forks(tmp_path, monkeypatch, long_series, lines):
+    # Below _PIPELINE_MIN_BLOCKS blocks the fork costs more than the overlap saves.
     csv = tmp_path / "short.csv"
     with open(long_series["csv"], encoding="utf-8") as fh:
         csv.write_text("".join(fh.readline() for _ in range(1 + lines + long_series["d"])))
     cpus(monkeypatch.setattr, 2)
-    monkeypatch.setattr(os, "fork", forbidden_fork)
+    pids = forks(monkeypatch)
     code, out, err = monitor(write_config(tmp_path, {}), long_series["model"], csv)
     assert (code, out.count("\n"), err) == (0, lines, "")
+    assert len(pids) == (lines >= SHORTEST_PIPELINED)
+    no_child_left()
 
 
 @pytest.mark.parametrize("when", ["first-reply", "mid-reply", "before-send"])

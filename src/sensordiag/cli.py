@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _shares
 from ._jsonin import integer, list_of, read_object, real
 from .dataset import (
     _embedded_rows, apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
@@ -34,9 +35,7 @@ from .errors import (
     IndexOutOfRange,
     SensorDiagError,
 )
-from .harness import (
-    DEFAULT_VARIANTS, _fork, _reap, _usable_cpus, default_sim_config, simulate, sweep
-)
+from .harness import DEFAULT_VARIANTS, default_sim_config, simulate, sweep
 from .isolation import (
     ContributionMethod,
     DetectionIndex,
@@ -325,7 +324,7 @@ def cmd_monitor(args, cfg: dict) -> int:
     )
     state = EbfState.fresh(model.n)
 
-    def evidence(blk) -> bytes:  # each row's levels, then each row's declaration, -1 for none
+    def evidence(blk):  # each row's levels, and each row's declaration, -1 for none
         nonlocal state
         declared, levels = [], []
         for winner, step in zip(winner_all[blk].tolist(), steps[blk].tolist()):
@@ -334,11 +333,9 @@ def cmd_monitor(args, cfg: dict) -> int:
             decision = ebf_decide(state, params)
             declared.append(-1 if decision is None else decision)
             levels.append(state.s)
-        return np.array(levels).tobytes() + np.array(declared, winner_all.dtype).tobytes()
+        return np.array(levels), np.array(declared, winner_all.dtype)
 
-    def render(blk, payload: bytes) -> str:
-        levels = np.frombuffer(payload, count=(blk.stop - blk.start) * model.n)
-        declared = np.frombuffer(payload, winner_all.dtype, offset=levels.nbytes)
+    def render(blk, levels, declared) -> str:
         cols = [
             range(blk.start + d, blk.stop + d),
             spe_all[blk].tolist(),
@@ -347,7 +344,7 @@ def cmd_monitor(args, cfg: dict) -> int:
             [_JSON_BOOL[hit] for hit in t2_over[blk].tolist()],
             winner_all[blk].tolist(),
             ["null" if v < 0 else v for v in declared.tolist()],
-            *levels.reshape(-1, model.n).T.tolist(),
+            *levels.T.tolist(),
         ]
         return (line * len(declared)) % tuple(chain.from_iterable(zip(*cols)))
 
@@ -356,68 +353,38 @@ def cmd_monitor(args, cfg: dict) -> int:
 
 
 def _write_blocks(blocks, evidence, render) -> None:
-    """Write ``render(blk, evidence(blk))`` per block, in order, with every evidence step here
-    and, on two usable CPUs and at least _PIPELINE_MIN_BLOCKS blocks, block i - 1 rendered
-    meanwhile in a forked child, or here once it dies. Each side reads while the other sends,
-    so neither blocks (README "Performance")."""
-    import socket  # here, not at the top, so the other commands do not load it (0.4 MB)
+    """Write ``render(blk, *evidence(blk))`` per block, in order, stepping all evidence here.
+    From two usable CPUs and _PIPELINE_MIN_BLOCKS blocks a forked child renders block i - 1
+    meanwhile, one reading as the other sends so neither blocks (README "Performance")."""
 
-    def send(sock, message: bytes) -> bool:  # False if the peer is gone (EPIPE or ECONNRESET)
-        try:
-            sock.sendall(len(message).to_bytes(8, "little") + message, socket.MSG_NOSIGNAL)
-            return True
-        except OSError:
-            return False
+    def serve(link) -> None:  # the child: render each block it is sent until its input ends
+        for blk, ev in zip(blocks, iter(lambda: _shares.receive(link), None)):
+            _shares.send(link, render(blk, *ev))
 
-    def receive(inbox) -> bytes | None:  # None if the sender died before all of it came
-        try:
-            head = inbox.read(8)
-            body = inbox.read(int.from_bytes(head, "little"))
-        except OSError:  # ECONNRESET: the sender died with bytes of ours unread
-            return None
-        return body if len(head) == 8 and len(body) == int.from_bytes(head, "little") else None
-
-    pid = sock = None
-    fits = len(blocks) >= _PIPELINE_MIN_BLOCKS and _usable_cpus() > 1
-    if fits and hasattr(os, "fork") and hasattr(socket, "MSG_NOSIGNAL"):
-        sock, theirs = socket.socketpair()
-        pid = _fork()  # None: every block is rendered here
-        if pid == 0:  # the child: render each block it is sent until its input ends
-            try:
-                sock.close()
-                inbox = theirs.makefile("rb")
-                for blk, payload in zip(blocks, iter(lambda: receive(inbox), None)):
-                    send(theirs, render(blk, payload).encode())
-            finally:
-                os._exit(0)
-        theirs.close()
-        inbox = sock.makefile("rb")
-    live = bool(pid)  # a child is there to render
+    fits = len(blocks) >= _PIPELINE_MIN_BLOCKS and _shares.usable_cpus() > 1
+    child = _shares.fork(serve) if fits else None  # None: every block is rendered here
+    live = child is not None  # a child is there to render
     pending = None  # the block the child is rendering, with its evidence
 
     def collect() -> bool:  # write the pending block's text; False if the child died owing it
-        reply = receive(inbox)
-        sys.stdout.write(render(*pending) if reply is None else reply.decode())
-        return reply is not None
+        text = _shares.receive(child)
+        sys.stdout.write(render(*pending) if text is None else text)
+        return text is not None
 
     try:
         for blk in blocks:
-            payload = evidence(blk)
+            ev = evidence(blk)
             if pending is not None:
                 live = collect()  # R[i-1] in
             if live:
-                live = send(sock, payload)  # E[i] out
-            pending = (blk, payload) if live else None
+                live = _shares.send(child, ev)  # E[i] out
+            pending = (blk, *ev) if live else None
             if not live:
-                sys.stdout.write(render(blk, payload))
+                sys.stdout.write(render(blk, *ev))
         if pending is not None:
             collect()
     finally:
-        if sock is not None:
-            inbox.close()
-            sock.close()
-        if pid:
-            _reap(pid)
+        _shares.end(child)
 
 
 def cmd_simulate(args, cfg: dict) -> int:

@@ -12,18 +12,15 @@ mean absolute relative amplitude-reconstruction error.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import math
-import os
-import pickle
-import signal
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _shares
 from .dataset import RawDataset, ScalerParams, _embedded_rows
 from .ebf import EbfParams, filter_stream
 from .errors import (
@@ -473,46 +470,12 @@ def _pool_runs(scores, grid, variants) -> list:
 _PARALLEL_MIN_WORK = 500_000  # scored products worth a fork; README "Performance" derives it
 
 
-def _blas_threads():
-    """The ``(get, set)`` thread-count functions of numpy's OpenBLAS, or ``None``."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
-        for lib in map(ctypes.CDLL, sorted(paths)):
-            for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
-                         "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-                if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
-                    return (ctypes.CFUNCTYPE(ctypes.c_int)((name % "get", lib)),
-                            ctypes.CFUNCTYPE(None, ctypes.c_int)((name % "set", lib)))
-    except OSError:  # no readable maps, or a mapped library that does not load
-        pass
-    return None
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where the platform cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _fork() -> int | None:
-    """``os.fork()``, or ``None`` where it fails (``EAGAIN`` at the process limit or ``ENOMEM``)."""
-    try:
-        return os.fork()
-    except OSError:
-        return None
-
-
-def _reap(pid: int) -> None:
-    os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
-    os.waitpid(pid, 0)
-
-
 def _score_shares(score_share, count: int, work: int) -> list:
     """``score_share(lo, hi)`` over one contiguous share of ``range(count)`` per usable CPU,
     in order: share 0 here and each other share in a child forked with BLAS at one thread,
     or here if it cannot be forked or dies first. When to stay serial: README "Performance"."""
-    k = min(count, _usable_cpus())
-    blas = _blas_threads() if k > 1 and hasattr(os, "fork") and work >= _PARALLEL_MIN_WORK else None
+    k = min(count, _shares.usable_cpus())
+    blas = _shares.blas_threads() if k > 1 and work >= _PARALLEL_MIN_WORK else None
     if blas is None:
         return score_share(0, count)
     get, put = blas
@@ -521,29 +484,17 @@ def _score_shares(score_share, count: int, work: int) -> list:
     put(1)
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            r, w = os.pipe()
-            pid = _fork()  # None: the share is scored here, as a dead child's is
-            if pid == 0:  # the child: score the share, send it, exit
-                try:
-                    with open(w, "wb") as out:
-                        pickle.dump(score_share(lo, hi), out, pickle.HIGHEST_PROTOCOL)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
+            child = _shares.fork(lambda link, lo=lo, hi=hi: _shares.send(link, score_share(lo, hi)))
+            children.append(child)
         scores = score_share(0, bounds[1])
-        for (_, pipe), lo, hi in zip(children, bounds[1:], bounds[2:]):
-            try:
-                scores += pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):  # no child, or it died before it delivered
-                scores += score_share(lo, hi)
+        for child, lo, hi in zip(children, bounds[1:], bounds[2:]):
+            share = _shares.receive(child)  # None: no child, or it died before it delivered
+            scores += score_share(lo, hi) if share is None else share
         return scores
     finally:
         put(threads)
-        for pid, pipe in children:
-            pipe.close()
-            if pid is not None:
-                _reap(pid)
+        for child in children:
+            _shares.end(child)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned

@@ -207,6 +207,26 @@ def test_a_failed_fork_renders_here(tmp_path, monkeypatch, long_series, failure)
     no_child_left()
 
 
+def no_socket_pair(*args, **kwargs):
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+def test_a_failed_socket_pair_renders_here(tmp_path, monkeypatch, long_series):
+    # At the open-file limit the render child's socket pair cannot be made: monitor
+    # renders here, as after a failed fork, rather than exit 2 with a data error.
+    config = write_config(tmp_path, {})
+    with monkeypatch.context() as m:
+        cpus(m.setattr, 1)
+        expected = monitor(config, long_series["model"], long_series["csv"])
+    fds = len(os.listdir("/proc/self/fd"))
+    cpus(monkeypatch.setattr, 2)
+    monkeypatch.setattr(socket, "socketpair", no_socket_pair)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    assert monitor(config, long_series["model"], long_series["csv"]) == expected
+    assert len(os.listdir("/proc/self/fd")) == fds
+    no_child_left()
+
+
 SHORTEST_PIPELINED = (cli._PIPELINE_MIN_BLOCKS - 1) * cli._RENDER_LINES + 1  # lines
 
 

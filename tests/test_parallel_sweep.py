@@ -11,15 +11,17 @@ import ctypes
 import errno
 import json
 import os
+import signal
+import socket
 
 import pytest
 
 import test_harness as th
 from test_acceptance import GOLDEN_C7, _run_criterion7
-from sensordiag import cli, harness, sweep
+from sensordiag import _shares, cli, harness, sweep
 from sensordiag.errors import NonFiniteResult
 
-BLAS = harness._blas_threads()
+BLAS = _shares.blas_threads()
 needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter is loaded")
 
 
@@ -181,13 +183,13 @@ def test_serial_fallback_never_forks(monkeypatch, reason):
     shares(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", forbidden_fork)
     if reason == "no-pin":
-        monkeypatch.setattr(harness, "_blas_threads", lambda: None)
+        monkeypatch.setattr(_shares, "blas_threads", lambda: None)
     elif reason == "one-cpu":
         shares(monkeypatch, 1)
     elif reason == "no-fork":
         monkeypatch.delattr(os, "fork")
     elif reason == "no-maps":
-        monkeypatch.setattr(harness, "open", unreadable, raising=False)
+        monkeypatch.setattr(_shares, "open", unreadable, raising=False)
     elif reason == "no-lib":
         monkeypatch.setattr(ctypes, "CDLL", unloadable)
     else:
@@ -233,5 +235,52 @@ def test_a_failed_forks_share_is_scored_by_the_parent(monkeypatch, failing):
     shares(monkeypatch, 4)
     assert [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0, 0.5], variants).rows] == expected
     assert len(forks) == 3
-    assert len(os.listdir("/proc/self/fd")) == fds  # both ends of each pipe are closed
+    assert len(os.listdir("/proc/self/fd")) == fds  # both ends of each socket pair are closed
+    no_child_left()
+
+
+@needs_blas
+def test_a_child_cut_off_mid_message_has_its_share_scored_by_the_parent(monkeypatch):
+    model, runs = th.small_model(), th.validation_runs(4)
+    variants = [(th.RBC_T2, True), (th.CP_SPE, False)]
+    expected = [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0, 0.5], variants).rows]
+    parent, sendall = os.getpid(), socket.socket.sendall
+
+    def dying_sendall(sock, data, *flags):
+        if os.getpid() != parent:  # a child: half of its share's message, then SIGKILL
+            sendall(sock, data[: len(data) // 2], *flags)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sendall(sock, data, *flags)
+
+    monkeypatch.setattr(socket.socket, "sendall", dying_sendall)
+    shares(monkeypatch, 4)
+    assert [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0, 0.5], variants).rows] == expected
+    no_child_left()
+
+
+def no_socket_pair(*args, **kwargs):
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+@needs_blas
+def test_a_failed_socket_pair_scores_here(four_runs, monkeypatch, capsys, tmp_path):
+    # At the open-file limit no share's socket pair can be made: eval scores every
+    # share here, as after a failed fork, rather than exit 2 with a data error.
+    root, model, runs = four_runs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lag_depth": 2, "variance_fraction": 0.9, "sweep": {"grid_points": 6}}))
+
+    def report(name):
+        base = tmp_path / name
+        assert cli.main(["--config", str(config), "eval", str(model), *runs, "--report-out", str(base)]) == 0
+        assert capsys.readouterr().err == ""
+        return [base.with_suffix(s).read_bytes() for s in (".csv", ".json")]
+
+    expected = report("serial")
+    fds = len(os.listdir("/proc/self/fd"))
+    shares(monkeypatch, 2)
+    monkeypatch.setattr(socket, "socketpair", no_socket_pair)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    assert report("no-pair") == expected
+    assert len(os.listdir("/proc/self/fd")) == fds
     no_child_left()

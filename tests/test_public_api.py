@@ -102,3 +102,11 @@ def test_one_owner_of_the_tiled_scaler():
     only ``pca.py`` tiles it."""
     hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if "np.tile(" in p.read_text("utf-8")]
     assert hits == ["pca.py"]
+
+
+def test_one_owner_of_forked_work():
+    """Only ``_shares.py`` forks, talks to a child over its socket pair, ends it or
+    reaches a native library, so a second copy of the fork policy fails here."""
+    pattern = r"os\.fork\(|os\._exit\(|os\.waitpid\(|socketpair\(|MSG_NOSIGNAL|ctypes\."
+    hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
+    assert hits == ["_shares.py"]

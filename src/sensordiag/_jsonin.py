@@ -7,6 +7,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 
 def read_object(path, error: type[Exception], label: str) -> dict:
     """The JSON object in ``path``; every read or parse failure raises
@@ -31,6 +33,12 @@ def real(value) -> bool:
         return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an integer beyond float range
         return False
+
+
+def floats(value) -> np.ndarray | None:
+    """A JSON array as floats; ``None`` if it holds a bool, string, null, ragged row or huge int."""
+    cells = np.array(value, dtype=object)  # ravel, not flat: flat stops at 32 dimensions
+    return cells.astype(float) if all(real(v) or type(v) is float for v in cells.ravel()) else None
 
 
 def integer(value, lo: float = -math.inf, hi: float = math.inf) -> bool:

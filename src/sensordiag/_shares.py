@@ -2,6 +2,7 @@
 and ``cli.cmd_monitor``'s render child; each message is one pickle over a socket pair. Callers
 keep their rules for when a child pays (README "Performance") and do what a child could not."""
 
+import contextlib
 import ctypes
 import os
 import pickle
@@ -63,8 +64,10 @@ def fork(body) -> Link | None:
     return Link(ours, ours.makefile("rb"), pid)
 
 
-def send(link: Link, message) -> bool:
-    """Send ``message`` as one pickle; ``False`` if the peer is gone (``EPIPE``, ``ECONNRESET``)."""
+def send(link: Link | None, message) -> bool:
+    """Send ``message`` as one pickle; ``False`` with no peer or a dead one (EPIPE, ECONNRESET)."""
+    if link is None:
+        return False
     from socket import MSG_NOSIGNAL  # a dead peer is an error, not a SIGPIPE; fork loaded socket
     try:
         link.sock.sendall(pickle.dumps(message, pickle.HIGHEST_PROTOCOL), MSG_NOSIGNAL)
@@ -88,5 +91,6 @@ def end(link: Link | None) -> None:
     if link is not None:
         link.inbox.close()
         link.sock.close()
-        os.kill(link.pid, signal.SIGKILL)  # no effect on a child that has exited
-        os.waitpid(link.pid, 0)
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: reaped
+            os.kill(link.pid, signal.SIGKILL)  # no effect on a child that has exited
+            os.waitpid(link.pid, 0)

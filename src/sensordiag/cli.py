@@ -245,7 +245,7 @@ def cmd_eval(args, cfg: dict) -> int:
             f"sweep.target_sensor {target} not in [0, {model.n})"
         )
     onset = sw["onset_k"]
-    # Checked up front: the sweep scores each run in full before it reaches the next.
+    # sweep would reject it too, at its first amplitude, but this error names the key and file.
     for path, run in zip(args.validation_csvs, runs):
         if onset is not None and onset >= run.m:
             raise IndexOutOfRange(f"sweep.onset_k {onset} not in [0, {run.m}) for {path}")
@@ -363,26 +363,21 @@ def _write_blocks(blocks, evidence, render) -> None:
 
     fits = len(blocks) >= _PIPELINE_MIN_BLOCKS and _shares.usable_cpus() > 1
     child = _shares.fork(serve) if fits else None  # None: every block is rendered here
-    live = child is not None  # a child is there to render
     pending = None  # the block the child is rendering, with its evidence
 
-    def collect() -> bool:  # write the pending block's text; False if the child died owing it
-        text = _shares.receive(child)
-        sys.stdout.write(render(*pending) if text is None else text)
-        return text is not None
+    def collect() -> None:  # the pending block's text, if any: the child's, or rendered here
+        if pending is not None:
+            text = _shares.receive(child)  # None: the child died owing it
+            sys.stdout.write(render(*pending) if text is None else text)
 
     try:
         for blk in blocks:
             ev = evidence(blk)
-            if pending is not None:
-                live = collect()  # R[i-1] in
-            if live:
-                live = _shares.send(child, ev)  # E[i] out
-            pending = (blk, *ev) if live else None
-            if not live:
+            collect()  # R[i-1] in
+            pending = (blk, *ev) if _shares.send(child, ev) else None  # E[i] out
+            if pending is None:  # no child, or a dead one that refused E[i]
                 sys.stdout.write(render(blk, *ev))
-        if pending is not None:
-            collect()
+        collect()
     finally:
         _shares.end(child)
 

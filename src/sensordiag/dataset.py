@@ -92,7 +92,7 @@ class ScalerParams:
         mean = np.asarray(self.mean, dtype=float)
         std = np.asarray(self.std, dtype=float)
         if mean.ndim != 1 or std.ndim != 1 or mean.shape != std.shape:
-            raise ValueError("mean and std must be 1-D vectors of equal length")
+            raise ValueError("scaler mean and std must be 1-D vectors of numbers of equal length")
         if not (np.isfinite(mean).all() and np.isfinite(std).all()):
             raise ValueError("scaler parameters must be finite")
         if (std <= 0).any():

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 
-__all__ = ["EbfParams", "EbfState", "ebf_step", "ebf_decide", "filter_stream"]
+__all__ = ["NO_DECLARATION", "EbfParams", "EbfState", "ebf_step", "ebf_decide", "filter_stream"]
 
 # Makes threshold comparisons follow exact decimal arithmetic: accumulated
 # float evidence can land one ulp below an exactly-reachable boundary, and

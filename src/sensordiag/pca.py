@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonin import integer, list_of, read_object, real
+from ._jsonin import floats, integer, list_of, read_object, real
 from .dataset import ScaledDataset, ScalerParams
 from .errors import (
     CorruptModelFile,
@@ -103,9 +103,11 @@ class PcaModel:
         for name, shape in [("p_hat", (n_e, l)), ("p_tilde", (n_e, n_e - l)),
                             ("lambda_hat", (l,)), ("lambda_tilde", (n_e - l,))]:
             try:
-                array = np.asarray(getattr(self, name), dtype=float).reshape(shape)
-            except (TypeError, ValueError):  # ragged, not numbers, or of another size
-                raise ValueError(f"{name} must be an array of numbers of shape {shape}") from None
+                array = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):  # ragged, or not numbers
+                array = None
+            if array is None or array.shape != shape:
+                raise ValueError(f"{name} must be an array of numbers of shape {shape}")
             object.__setattr__(self, name, array)
         object.__setattr__(self, "sensor_names", tuple(str(s) for s in self.sensor_names))
         if len(self.scaler) != self.n:
@@ -345,14 +347,14 @@ def load_model(path: str | Path) -> PcaModel:
     if type(scaler) is not dict or scaler.keys() != {"mean", "std"}:  # printed without its arrays
         raise CorruptModelFile(f'{path}: scaler must be an object with keys "mean" and "std" only')
     try:
-        tiled = ScalerParams(**scaler)  # one entry per extended column
+        tiled = ScalerParams(floats(scaler["mean"]), floats(scaler["std"]))  # n * (d + 1) entries
         if len(tiled) != n * (d + 1) or len(raw["sensor_names"]) != n:
             raise CorruptModelFile(f"{path}: inconsistent dimensions")
         model = PcaModel(
-            p_hat=raw["p_hat"],
-            p_tilde=raw["p_tilde"],
-            lambda_hat=raw["lambda_hat"],
-            lambda_tilde=raw["lambda_tilde"],
+            p_hat=floats(raw["p_hat"]),  # None, and so rejected, unless it holds numbers only
+            p_tilde=floats(raw["p_tilde"]),
+            lambda_hat=floats(raw["lambda_hat"]),
+            lambda_tilde=floats(raw["lambda_tilde"]),
             l=l,
             n=n,
             d=d,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,15 @@ def write_long_series(root: Path, d: int) -> dict:
     return {"model": root / "model.json", "csv": root / "series.csv", "rows": rows, "d": d}
 
 
+@pytest.fixture
+def sigchld_ignored():
+    """``SIGCHLD`` ignored, as in a process exec'd by one that ignores it: the
+    kernel reaps each child as it exits, so no pid is left to signal or reap."""
+    saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    yield
+    signal.signal(signal.SIGCHLD, saved)
+
+
 @pytest.fixture(scope="session")
 def long_series(tmp_path_factory):
     """A multi-block monitor case at the default shape, n=8 and d=10."""
@@ -168,6 +178,35 @@ def _drop_scaler_std(p):
     del p["scaler"]["std"]
 
 
+def _shorten_scaler(p):
+    for part in ("mean", "std"):
+        p["scaler"][part].pop()
+
+
+def _huge_scaler_std(p):
+    p["scaler"]["std"][0] = 10**400
+
+
+def _true_scaler_std(p):
+    p["scaler"]["std"] = [True] * len(p["scaler"]["std"])  # still tiled
+
+
+def _quote_lambda_tilde(p):
+    p["lambda_tilde"][0] = repr(p["lambda_tilde"][0])
+
+
+def _flatten_p_tilde(p):
+    p["p_tilde"] = [v for row in p["p_tilde"] for v in row]
+
+
+def _add_sensor_name(p):
+    p["sensor_names"].append("extra")
+
+
+def _drop_sensor_name(p):
+    p["sensor_names"].pop()
+
+
 def _lift_lambda_tilde(p):
     # Each block stays descending, but the residual space now outranks the
     # smallest retained eigenvalue.
@@ -189,6 +228,15 @@ MODEL_DEFECTS = {
     "scaler_std_untiled": (_shift_scaler("std", 1.0), "tiled"),
     "scaler_extra_key": (_add_scaler_key, "scaler must be"),
     "scaler_missing_std": (_drop_scaler_std, "scaler must be"),
+    "scaler_short": (_shorten_scaler, "inconsistent dimensions"),
+    "sensor_names_extra": (_add_sensor_name, "inconsistent dimensions"),
+    "sensor_names_short": (_drop_sensor_name, "inconsistent dimensions"),
+    "scaler_std_huge_int": (_huge_scaler_std, "scaler mean and std must be 1-D vectors of numbers"),
+    "lambda_tilde_huge_int": (_set("lambda_tilde", 10**400, 0), "lambda_tilde must be an array of numbers"),
+    "scaler_std_true": (_true_scaler_std, "scaler mean and std must be 1-D vectors of numbers"),
+    "lambda_hat_bool": (_set("lambda_hat", True, 1), "lambda_hat must be an array of numbers"),
+    "lambda_tilde_string": (_quote_lambda_tilde, "lambda_tilde must be an array of numbers"),
+    "p_tilde_flat": (_flatten_p_tilde, "p_tilde must be an array of numbers"),
     "variance_fraction_7": (_set("variance_fraction", 7.0), "variance_fraction must be"),
     "variance_fraction_0": (_set("variance_fraction", 0.0), "variance_fraction must be"),
     "variance_fraction_string": (_set("variance_fraction", "0.9"), "variance_fraction must be"),

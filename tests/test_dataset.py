@@ -489,3 +489,24 @@ def test_read_peak_memory_is_bounded_by_the_result(tmp_path):
         tracemalloc.stop()
     assert got.samples.tobytes() == raw.samples.tobytes()
     assert peak < 2 * got.samples.nbytes
+
+
+UNIT2 = ScalerParams(np.zeros(2), np.ones(2))
+
+# Each call, with the error it must raise.
+BAD_INPUTS = {
+    "raw-one-dimensional": (lambda: RawDataset(np.zeros(5), ("a",)), "samples must be 2-D, got shape (5,)"),
+    "raw-no-columns": (lambda: RawDataset(np.zeros((3, 0)), ()), "need at least 1 sensor column"),
+    "raw-name-count": (lambda: RawDataset(np.zeros((3, 2)), ("a",)), "1 sensor names for 2 columns"),
+    "scaled-one-dimensional": (lambda: ScaledDataset(np.zeros(4), UNIT2, ("a", "b")), "samples must be 2-D"),
+    "embed-twice": (lambda: embed_lags(embed_lags(ScaledDataset(np.eye(4)[:, :2], UNIT2, ("a", "b")), 1), 1),
+                    "data is already lag-extended"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_raises_its_error(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (ValueError, message)

@@ -329,3 +329,9 @@ class TestStepOracle:
         state = EbfState(s=np.array([0.1, 0.2]))
         ebf_step(state, 0, EbfParams())
         assert state.s.tolist() == [0.1, 0.2]
+
+
+def test_a_state_needs_a_sensor():
+    with pytest.raises(Exception) as caught:
+        EbfState.fresh(0)
+    assert (type(caught.value), str(caught.value)) == (ValueError, "need at least one sensor")

@@ -5,13 +5,17 @@ with that one input mutated and every other input intact. CSVs get byte-level
 mutations and cuts to a few rows (``d + 1`` rows leaves ``monitor`` one
 embedded row); the model file gets byte-level and JSON-level ones. Whatever
 the mutation, the exit code keeps the contract: 0, or 2 or 3 with exactly one
-stderr line and no traceback; on 0 every output parses.
+stderr line and no traceback; on 0 every output parses, and a model ``eval``
+accepted holds the model invariants.
 """
 
 import contextlib
+import copy
 import csv
 import io
+import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -34,9 +38,10 @@ TOKENS = [
     b"nan", b"inf", b"-inf", b"1e308", b"1e999", b"-0.0", b"5e-324", b'"', b"\x00",
     b"\xef\xbb\xbf", b",", b"\n", b"\r", b"\r\n", b" ", b"\xff", b"[", b"}",
 ]
+# Each draw is a fresh copy: a later mutation may edit a drawn list in place.
 JSON_VALUES = st.sampled_from(
     [None, True, False, 0, -1, 2**70, 5e-324, -0.0, 1e308, "x", [], {}, [[1.0]], [None]]
-)
+).map(copy.deepcopy)
 
 
 @st.composite
@@ -162,3 +167,65 @@ def test_mutated_input_exits_with_a_contract_code(workspace, command, target, da
             assert err.getvalue().count("\n") == 1, err.getvalue()
         else:
             _check_outputs(command, out.getvalue(), tmp)
+
+
+def _numbers(node, path=()):
+    """The path of every JSON number in ``node``."""
+    if type(node) in (int, float):
+        yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _numbers(child, path + (key,))
+
+
+@st.composite
+def number_mutants(draw, text: bytes):
+    """The model JSON with one number negated, zeroed, nudged by 1e-12 to 1e-6 of itself or
+    swapped for an integer beyond float range."""
+    doc = json.loads(text)
+    paths = list(_numbers(doc))
+    *path, key = paths[draw(st.integers(0, len(paths) - 1))]
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    x = parent[key]
+    nudges = [-x, 0, -0.0, x * (1 + 1e-12), x * (1 + 1e-9), x * (1 + 1e-6), x + 1e-9, 10**400]
+    parent[key] = draw(st.sampled_from(nudges))
+    return json.dumps(doc).encode()
+
+
+def _matrix(value, rows: int, cols: int) -> list:
+    assert isinstance(value, list) and len(value) == rows
+    assert all(isinstance(row, list) and len(row) == cols for row in value)
+    assert all(type(v) in (int, float) and math.isfinite(v) for row in value for v in row)
+    return value
+
+
+def assert_model_invariants(doc: dict) -> None:
+    """The north star's model invariants, read from the file's JSON with plain
+    floats: ``[p_hat p_tilde]`` orthonormal, the spectrum (``lambda_hat`` then
+    ``lambda_tilde``) non-negative and descending, both limits finite and
+    non-negative."""
+    n_e, l = doc["n"] * (doc["d"] + 1), doc["l"]
+    loadings = [a + b for a, b in zip(_matrix(doc["p_hat"], n_e, l), _matrix(doc["p_tilde"], n_e, n_e - l))]
+    for j, k in itertools.product(range(n_e), repeat=2):
+        assert abs(math.fsum(row[j] * row[k] for row in loadings) - (j == k)) <= 1e-8, (j, k)
+    spectrum = _matrix([doc["lambda_hat"] + doc["lambda_tilde"]], 1, n_e)[0]
+    assert all(v >= 0 for v in spectrum) and all(a >= b for a, b in zip(spectrum, spectrum[1:]))
+    for key in ("spe_limit", "t2_limit"):
+        assert type(doc[key]) in (int, float) and math.isfinite(doc[key]) and doc[key] >= 0, key
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in a mutated but accepted model
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_model_eval_accepts_holds_the_invariants(workspace, data):
+    text = workspace["model"].read_bytes()
+    mutant = data.draw(st.one_of(MUTANTS["model"](text), number_mutants(text)), label="model")
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {**workspace, "model": Path(tmp) / "model.json"}
+        inputs["model"].write_bytes(mutant)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(workspace["config"]), *_argv("eval", inputs, tmp)])
+    if code == 0:
+        assert_model_invariants(json.loads(mutant))

@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import re
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +46,8 @@ from sensordiag.errors import (
     ZeroAmplitude,
 )
 from conftest import (
+    make_model,
+    make_raw,
     oracle_contribution_matrix,
     oracle_estimate_matrix,
     oracle_faulty_runs,
@@ -686,3 +689,33 @@ class TestSignSymmetry:
         rep_neg = sweep(model, [flat], 0, [-amp], variants, onset_k=150)
         for pos, neg in zip(rep_pos.rows, rep_neg.rows):
             assert pos.isolation_pct == neg.isolation_pct
+
+
+# Each call on an n=4 model and one 60-row run, with the error it must raise.
+BAD_INPUTS = {
+    "fault-sensor-negative": (lambda model, runs: FaultSpec(-1, 1.0, 0), IndexOutOfRange,
+                              "sensor -1 must be non-negative"),
+    "fault-onset-negative": (lambda model, runs: FaultSpec(0, 1.0, -2), IndexOutOfRange,
+                             "onset -2 must be non-negative"),
+    "sim-matrix-shape": (lambda model, runs: replace(small_config(), ar1=np.zeros((2, 2))), ValueError,
+                         "ar1 must be 4x4, got (2, 2)"),
+    "sim-noise-negative": (lambda model, runs: replace(small_config(), noise_std=-1.0), ValueError,
+                           "noise_std must be non-negative"),
+    "sweep-no-runs": (lambda model, runs: sweep(model, [], 0, [1.0]), ValueError,
+                      "need at least one validation run"),
+    "sweep-empty-grid": (lambda model, runs: sweep(model, runs, 0, []), ValueError, "amplitude grid is empty"),
+    "sweep-no-variants": (lambda model, runs: sweep(model, runs, 0, [1.0], []), ValueError,
+                          "need at least one variant"),
+    "sweep-target-past-end": (lambda model, runs: sweep(model, runs, 4, [1.0]), IndexOutOfRange,
+                              "target sensor 4 not in [0, 4)"),
+    "sweep-target-negative": (lambda model, runs: sweep(model, runs, -1, [1.0]), IndexOutOfRange,
+                              "target sensor -1 not in [0, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_raises_its_error(case):
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(Exception) as caught:
+        call(make_model(n=4, m=400, seed=5, d=2), [make_raw(n=4, m=60, seed=9)])
+    assert (type(caught.value), str(caught.value)) == (error, message)

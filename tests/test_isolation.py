@@ -435,3 +435,18 @@ class TestAttributionErrors:
                 with pytest.raises(DegenerateDirection) as err:
                     estimate_matrix(model, x, bad, index)
                 assert err.value.sensor == bad
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda model, x: contributions(model, x, CP_SPE), "contributions expects a single sample vector"),
+        (lambda model, x: estimate_fault(model, x, 0), "estimate_fault expects a single sample vector"),
+    ],
+    ids=["contributions", "estimate_fault"],
+)
+def test_one_sample_calls_reject_a_batch(call, message):
+    model = make_model(n=4, m=400, seed=5, d=2)
+    with pytest.raises(Exception) as caught:
+        call(model, np.zeros((2, model.n_e)))
+    assert (type(caught.value), str(caught.value)) == (DimensionMismatch, message)

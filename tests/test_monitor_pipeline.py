@@ -258,6 +258,15 @@ def test_a_dead_childs_blocks_are_rendered_here(tmp_path, monkeypatch, long_seri
     no_child_left()
 
 
+def test_a_render_child_the_kernel_reaped_is_ended(tmp_path, monkeypatch, long_series, sigchld_ignored):
+    # With SIGCHLD ignored, ending the render child finds no process (ESRCH) or no
+    # child (ECHILD): it has ended, and the run is the serial one.
+    config = write_config(tmp_path, {})
+    serial, pipelined = serial_and_pipelined(monkeypatch, config, long_series["model"], long_series["csv"])
+    assert pipelined == serial
+    assert serial[0] == 0 and serial[2] == ""
+
+
 def forced_cli(*args, kill=None) -> list[str]:
     """argv of the real ``entrypoint`` (SIGPIPE at its default action) in a fresh
     interpreter with default warning filters, seeing two usable CPUs and killing

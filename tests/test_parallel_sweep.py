@@ -106,6 +106,27 @@ def test_eval_reports_are_byte_identical(four_runs, monkeypatch, capsys, tmp_pat
 
 
 @needs_blas
+def test_eval_ends_the_children_the_kernel_reaped(four_runs, monkeypatch, capsys, tmp_path, sigchld_ignored):
+    # With SIGCHLD ignored, ending a share's child finds no process (ESRCH) or no
+    # child (ECHILD): it has ended, and the report is the serial one.
+    root, model, runs = four_runs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lag_depth": 2, "variance_fraction": 0.9, "sweep": {"grid_points": 6}}))
+    reports, forks, fork = {}, [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for count in (1, 4):
+        shares(monkeypatch, count)
+        monkeypatch.setattr(harness, "_PARALLEL_MIN_WORK", 0 if count > 1 else 10**18)
+        base = tmp_path / f"report_{count}"
+        code = cli.main(["--config", str(config), "eval", str(model), *runs, "--report-out", str(base)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        reports[count] = [base.with_suffix(s).read_bytes() for s in (".csv", ".json")]
+    assert reports[4] == reports[1]
+    assert len(forks) == 3
+    no_child_left()
+
+
+@needs_blas
 class TestBlasThreads:
     @pytest.fixture(autouse=True)
     def two_threads(self):

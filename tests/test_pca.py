@@ -28,6 +28,8 @@ from sensordiag import (
 from sensordiag.errors import (
     CorruptModelFile,
     DegenerateSpectrum,
+    EigendecompositionFailure,
+    IndexOutOfRange,
     SchemaVersionMismatch,
     UndersampledFit,
 )
@@ -445,3 +447,27 @@ class TestResidualStd:
             assert model.residual_std(i) / model.scaler.std[i] == pytest.approx(
                 empirical, rel=0.05
             )
+
+
+UNIT2 = ScalerParams(np.zeros(2), np.ones(2))
+
+# Each call, with the error it must raise.
+BAD_INPUTS = {
+    "residual-std-past-end": (lambda: make_model(n=4, m=400, seed=5).residual_std(4), IndexOutOfRange,
+                              "sensor 4 not in [0, 4)"),
+    "residual-std-negative": (lambda: make_model(n=4, m=400, seed=5).residual_std(-1), IndexOutOfRange,
+                              "sensor -1 not in [0, 4)"),
+    "covariance-one-row": (lambda: covariance(ScaledDataset(np.zeros((1, 2)), UNIT2, ("a", "b"))), ValueError,
+                           "need at least 2 samples for a covariance estimate"),
+    "fit-zero-spectrum": (lambda: fit_pca(ScaledDataset(np.zeros((5, 2)), UNIT2, ("a", "b"))),
+                          EigendecompositionFailure, "covariance spectrum is entirely zero"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+@pytest.mark.filterwarnings("ignore::sensordiag.errors.DegenerateSpectrum")  # all-zero data warns first
+def test_bad_input_raises_its_error(case):
+    call, error, message = BAD_INPUTS[case]
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)

@@ -1,6 +1,7 @@
-"""The one module that forks a child, talks to it and ends it, for ``harness.sweep``'s shares
-and ``cli.cmd_monitor``'s render child; each message is one pickle over a socket pair. Callers
-keep their rules for when a child pays (README "Performance") and do what a child could not."""
+"""The one module that forks a child, talks to it and ends it, or pins numpy's BLAS threads, for
+the shares of ``harness.sweep`` and ``dataset.write_raw_csv`` and ``cli.cmd_monitor``'s render
+child; each message is one pickle over a socket pair. Callers keep their rules for when a child
+pays (README "Performance") and do what a child could not."""
 
 import contextlib
 import ctypes
@@ -32,12 +33,25 @@ def blas_threads():
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """BLAS at one thread inside the block and as it was after it; yields whether it could."""
+    get, put = blas_threads() or (lambda: None, lambda threads: None)
+    threads = get()
+    put(1)
+    try:
+        yield threads is not None
+    finally:
+        put(threads)
+
+
 class Link(NamedTuple):
-    """One end of a socket pair: the parent's, with its child's pid, or the child's, with 0."""
+    """One end of a socket pair: the parent's, with its child's pid and pidfd, or the child's."""
 
     sock: object
     inbox: object  # a buffered reader over sock
-    pid: int
+    pid: int  # 0 in the child
+    pidfd: int | None = None  # None in the child, or where the platform has no pidfds
 
 
 def fork(body) -> Link | None:
@@ -61,7 +75,10 @@ def fork(body) -> Link | None:
                 body(Link(theirs, theirs.makefile("rb"), 0))
             finally:
                 os._exit(0)
-    return Link(ours, ours.makefile("rb"), pid)
+    pidfd = None  # end() signals through it, so never through a pid the kernel has freed
+    with contextlib.suppress(AttributeError, OSError):  # no pidfds, or a child reaped already
+        pidfd = os.pidfd_open(pid)
+    return Link(ours, ours.makefile("rb"), pid, pidfd)
 
 
 def send(link: Link | None, message) -> bool:
@@ -87,10 +104,34 @@ def receive(link: Link | None):
 
 
 def end(link: Link | None) -> None:
-    """Close the parent's end of ``link``, then kill and reap its child."""
+    """Close the parent's end of ``link``, then kill its child (by pidfd if it has one), reap it."""
     if link is not None:
         link.inbox.close()
         link.sock.close()
         with contextlib.suppress(ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: reaped
-            os.kill(link.pid, signal.SIGKILL)  # no effect on a child that has exited
+            if link.pidfd is None:
+                os.kill(link.pid, signal.SIGKILL)  # no effect on a child that has exited
+            else:
+                signal.pidfd_send_signal(link.pidfd, signal.SIGKILL)
             os.waitpid(link.pid, 0)
+        if link.pidfd is not None:
+            os.close(link.pidfd)
+
+
+def in_order(task, count: int, k: int, sink) -> None:
+    """``sink(task(i))`` for each ``i`` in ``range(count)``, in order; share ``i % k`` does item
+    ``i``: share 0 here, each other a child forked at one BLAS thread that sends each item as it
+    is done. Items are done here without a BLAS setter, or if their child was not forked or died."""
+    k = min(k, count)
+    with one_blas_thread() if k > 1 else contextlib.nullcontext(False) as pinned:
+        children = []
+        try:
+            for j in range(1, k if pinned else 1):
+                mine = range(j, count, k)
+                children.append(fork(lambda link, r=mine: all(send(link, task(i)) for i in r)))
+            for i in range(count):
+                result = receive(children[i % k - 1]) if children and i % k else None
+                sink(task(i) if result is None else result)
+        finally:
+            for child in children:
+                end(child)

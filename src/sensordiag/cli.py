@@ -59,7 +59,7 @@ def _variant(item) -> bool:
 
 # Every config key as (default, check, what the value must be), nested as in
 # the file. The upper bounds cap what one config can make the CLI allocate:
-# n_sensors sizes simulate's dense (2n)^2 Kronecker Lyapunov solve, m_* the
+# n_sensors sizes simulate's (32n)^2 block-Toeplitz recursion matrix, m_* the
 # simulated series, n_validation_runs the CSV files it writes and grid_points
 # the sweep grid. lag_depth has no bound: its cost scales with the input CSV,
 # which no config bounds.
@@ -400,18 +400,13 @@ def cmd_simulate(args, cfg: dict) -> int:
         noise_std=sim["noise_std"],
         structure_seed=sim["structure_seed"],
     )
-    paths = []
-    train_path = out_dir / "train.csv"
-    write_raw_csv(simulate(base), train_path)
-    paths.append(train_path)
-    for j in range(sim["n_validation_runs"]):
-        run_cfg = replace(
-            base, m_samples=sim["m_validation"], seed=sim["seed"] + 1 + j
-        )
-        path = out_dir / f"validation_{j + 1}.csv"
+    runs = [(base, out_dir / "train.csv")] + [
+        (replace(base, m_samples=sim["m_validation"], seed=sim["seed"] + 1 + j),
+         out_dir / f"validation_{j + 1}.csv") for j in range(sim["n_validation_runs"])
+    ]
+    for run_cfg, path in runs:
         write_raw_csv(simulate(run_cfg), path)
-        paths.append(path)
-    for path in paths:
+    for _, path in runs:
         print(f"wrote {path}")
     return 0
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _shares
 from .errors import (
     CsvParseError,
     DimensionMismatch,
@@ -226,8 +227,8 @@ def _embedded_rows(data: RawDataset, scaler: ScalerParams, d: int, rows) -> np.n
     return embed_lags(apply_scaler(window, scaler), d).samples[rows.start - lo : rows.stop - lo]
 
 
-# Body rows formatted per write.
-_CSV_CHUNK_ROWS = 8192
+_CSV_CHUNK_ROWS = 2048  # body rows formatted per write
+_WRITE_MIN_VALUES = 50_000  # values worth formatting in shares; README "Performance" derives it
 
 
 def _loadtxt_lines(fh):
@@ -316,12 +317,14 @@ def write_raw_csv(data: RawDataset, path: str | Path) -> None:
 
     Each float is written as its ``repr`` (``%r``), so a read gives back the
     same bits; no repr needs quoting, so the bytes are those ``csv`` writes.
-    The body is formatted one block of rows per write to bound memory.
+    The body is formatted one block of rows per write to bound memory, in
+    shares on every usable CPU from ``_WRITE_MIN_VALUES`` values on.
     """
     path = Path(path)
     row_fmt = ",".join(["%r"] * data.n) + "\r\n"
+    blocks = [data.samples[lo : lo + _CSV_CHUNK_ROWS] for lo in range(0, data.m, _CSV_CHUNK_ROWS)]
+    k = _shares.usable_cpus() if data.samples.size >= _WRITE_MIN_VALUES else 1
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.sensor_names)
-        for start in range(0, data.m, _CSV_CHUNK_ROWS):
-            block = data.samples[start : start + _CSV_CHUNK_ROWS]
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+        _shares.in_order(lambda i: (row_fmt * len(blocks[i])) % tuple(blocks[i].ravel().tolist()),
+                         len(blocks), k, fh.write)

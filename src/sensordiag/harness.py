@@ -121,19 +121,50 @@ def _companion_radius(ar1: np.ndarray, ar2: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(_companion(ar1, ar2)))))
 
 
+# After j doublings sigma sums F^i Q F^i' over i < 2^j; at a spectral radius of at most _MAX_RADIUS
+# the rest falls below an ulp from i = 352: 9 doublings, plus 3 for a non-normal F's transient.
+_MAX_RADIUS = 0.95
+_DOUBLINGS = math.ceil(math.log2(math.log(2.0**-52) / math.log(_MAX_RADIUS**2))) + 3
+
+
 def _stationary_covariance(ar1: np.ndarray, ar2: np.ndarray) -> np.ndarray:
-    """Stationary covariance of the VAR(2) state under unit noise, from the
-    companion-form discrete Lyapunov equation solved as a dense Kronecker
-    linear system."""
+    """The companion state's stationary covariance under unit noise: ``sigma = F sigma F' + Q``,
+    solved by Smith's doubling."""
     n = ar1.shape[0]
-    f = _companion(ar1, ar2)
-    q = np.zeros((2 * n, 2 * n))
-    q[:n, :n] = np.eye(n)
-    dim = 2 * n
-    lhs = np.eye(dim * dim) - np.kron(f, f)
-    sigma = np.linalg.solve(lhs, q.ravel()).reshape(dim, dim)
-    sigma = (sigma + sigma.T) / 2.0
-    return sigma[:n, :n]
+    a = _companion(ar1, ar2)
+    sigma = np.zeros((2 * n, 2 * n))
+    sigma[:n, :n] = np.eye(n)
+    for _ in range(_DOUBLINGS):
+        sigma = sigma + a @ sigma @ a.T
+        a = a @ a
+    return (sigma + sigma.T) / 2.0
+
+
+_VAR_BLOCK = 32  # steps per block of _var2; README "Performance"
+_SLAB_VALUES = 2**22  # noise values simulate draws at a time, so the series is its one large array
+
+
+def _var2(ar1: np.ndarray, ar2: np.ndarray, noise: np.ndarray, before=0.0) -> np.ndarray:
+    """``y[t] = ar1 @ y[t-1] + ar2 @ y[t-2] + noise[t]`` after the rows ``before`` (zeros), in
+    blocks of b steps, each ``T e + C x``: T holds the top-left block of F^(j-i) at block (j, i),
+    e is the block's noise, C the top rows of F^1 .. F^b and x the two rows before the block.
+    One gemm forms every ``T e``, then each block adds its ``C x``, all at one BLAS thread."""
+    steps, n = noise.shape
+    b = min(_VAR_BLOCK, steps)
+    full, y = steps - steps % b, np.empty((steps + 2, n))
+    y[:2] = before
+    with _shares.one_blas_thread():
+        powers = [np.linalg.matrix_power(_companion(ar1, ar2), j) for j in range(b + 1)]
+        lag = np.subtract.outer(np.arange(b), np.arange(b))
+        tops = np.array([p[:n, :n] for p in powers[:b]])[lag.clip(0)] * (lag >= 0)[..., None, None]
+        t = tops.transpose(0, 2, 1, 3).reshape(b * n, b * n)
+        c = np.vstack([np.hstack([p[:n, n:], p[:n, :n]]) for p in powers[1:]])  # x: y[t-2], y[t-1]
+        np.matmul(noise[:full].reshape(-1, b * n), t.T, out=y[2 : full + 2].reshape(-1, b * n))
+        r = noise[full:].size  # a last, shorter block's T is T's top-left corner
+        y[full + 2 :] = (t[:r, :r] @ noise[full:].ravel()).reshape(-1, n)
+        for lo in range(2, steps + 2, b):
+            y[lo : lo + b] += (c[: y[lo : lo + b].size] @ y[lo - 2 : lo].ravel()).reshape(-1, n)
+    return y[2:]
 
 
 def _symmetric_power(mat: np.ndarray, exponent: float) -> np.ndarray:
@@ -164,14 +195,14 @@ def default_sim_config(
     r2 = rng.standard_normal((n_sensors, n_sensors))
     ar1 = 0.5 * r1 / np.max(np.abs(np.linalg.eigvals(r1)))
     ar2 = 0.2 * r2 / np.max(np.abs(np.linalg.eigvals(r2)))
-    while _companion_radius(ar1, ar2) > 0.95:
+    while _companion_radius(ar1, ar2) > _MAX_RADIUS:
         ar1 *= 0.9
         ar2 *= 0.9
     spectrum = 0.5 ** np.arange(n_sensors)
     spectrum *= n_sensors / spectrum.sum()
     orient, _ = np.linalg.qr(rng.standard_normal((n_sensors, n_sensors)))
     target = (orient * spectrum) @ orient.T
-    sigma_y = _stationary_covariance(ar1, ar2)
+    sigma_y = _stationary_covariance(ar1, ar2)[:n_sensors, :n_sensors]
     mixing = _symmetric_power(target, 0.5) @ _symmetric_power(sigma_y, -0.5)
     return SimConfig(
         n_sensors=n_sensors,
@@ -196,16 +227,14 @@ def simulate(config: SimConfig) -> RawDataset:
         )
     n, m = config.n_sensors, config.m_samples
     rng = np.random.default_rng(config.seed)
-    total = _BURN_IN + m
-    noise = rng.normal(0.0, config.noise_std, size=(total, n))
-    y = np.zeros((total, n))
-    y[0] = noise[0]
-    y[1] = config.ar1 @ y[0] + noise[1]
-    for t in range(2, total):
-        y[t] = config.ar1 @ y[t - 1] + config.ar2 @ y[t - 2] + noise[t]
-    x = y[_BURN_IN:] @ config.mixing.T
+    total, y = _BURN_IN + m, np.zeros((2, n))
+    x = np.empty((total, n))
+    for lo in range(0, total, _SLAB_VALUES // n):  # one stream of draws, a slab at a time
+        noise = rng.normal(0.0, config.noise_std, size=(min(_SLAB_VALUES // n, total - lo), n))
+        y = _var2(config.ar1, config.ar2, noise, y[-2:])
+        np.matmul(y, config.mixing.T, out=x[lo : lo + len(y)])
     names = tuple(f"s{i + 1}" for i in range(n))
-    return RawDataset(samples=x, sensor_names=names)
+    return RawDataset(samples=x[_BURN_IN:], sensor_names=names)
 
 
 def inject_fault(data: RawDataset, fault: FaultSpec) -> RawDataset:
@@ -472,29 +501,11 @@ _PARALLEL_MIN_WORK = 500_000  # scored products worth a fork; README "Performanc
 
 def _score_shares(score_share, count: int, work: int) -> list:
     """``score_share(lo, hi)`` over one contiguous share of ``range(count)`` per usable CPU,
-    in order: share 0 here and each other share in a child forked with BLAS at one thread,
-    or here if it cannot be forked or dies first. When to stay serial: README "Performance"."""
-    k = min(count, _shares.usable_cpus())
-    blas = _shares.blas_threads() if k > 1 and work >= _PARALLEL_MIN_WORK else None
-    if blas is None:
-        return score_share(0, count)
-    get, put = blas
-    bounds = [count * i // k for i in range(k + 1)]
-    threads, children = get(), []
-    put(1)
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            child = _shares.fork(lambda link, lo=lo, hi=hi: _shares.send(link, score_share(lo, hi)))
-            children.append(child)
-        scores = score_share(0, bounds[1])
-        for child, lo, hi in zip(children, bounds[1:], bounds[2:]):
-            share = _shares.receive(child)  # None: no child, or it died before it delivered
-            scores += score_share(lo, hi) if share is None else share
-        return scores
-    finally:
-        put(threads)
-        for child in children:
-            _shares.end(child)
+    in order, through ``_shares.in_order``. When to stay serial: README "Performance"."""
+    k = min(count, _shares.usable_cpus()) if work >= _PARALLEL_MIN_WORK else 1
+    bounds, scores = [count * i // k for i in range(k + 1)], []
+    _shares.in_order(lambda i: score_share(bounds[i], bounds[i + 1]), k, k, scores.extend)
+    return scores
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned

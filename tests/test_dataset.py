@@ -295,9 +295,11 @@ class TestCsv:
         back = read_raw_csv(tmp_path / "new.csv").samples
         assert back.tobytes() == raw.samples.tobytes()
 
-    @pytest.mark.parametrize("bad_line", [_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 2, 2 * _CSV_CHUNK_ROWS + 5])
+    # Lines just past 8192-row multiples, which are also write-block boundaries.
+    @pytest.mark.parametrize("bad_line", [8193, 8194, 16389])
     def test_error_line_after_a_chunk_boundary(self, tmp_path, bad_line):
-        lines = ["a,b"] + ["1.0,2.0"] * (2 * _CSV_CHUNK_ROWS + 10)
+        assert (bad_line - 1) // 8192 * 8192 % _CSV_CHUNK_ROWS == 0
+        lines = ["a,b"] + ["1.0,2.0"] * (2 * 8192 + 10)
         lines[bad_line - 1] = "1.0,inf"
         path = tmp_path / "long.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")

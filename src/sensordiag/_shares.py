@@ -35,12 +35,12 @@ def blas_threads():
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """BLAS at one thread inside the block and as it was after it; yields whether it could."""
+    """BLAS at one thread inside the block, where the setter is found, and as it was after it."""
     get, put = blas_threads() or (lambda: None, lambda threads: None)
     threads = get()
     put(1)
     try:
-        yield threads is not None
+        yield
     finally:
         put(threads)
 
@@ -120,13 +120,13 @@ def end(link: Link | None) -> None:
 
 def in_order(task, count: int, k: int, sink) -> None:
     """``sink(task(i))`` for each ``i`` in ``range(count)``, in order; share ``i % k`` does item
-    ``i``: share 0 here, each other a child forked at one BLAS thread that sends each item as it
-    is done. Items are done here without a BLAS setter, or if their child was not forked or died."""
+    ``i``: share 0 here, each other a child forked at one BLAS thread where that can be set, which
+    sends each item as it is done. Items are done here if their child was not forked or died."""
     k = min(k, count)
-    with one_blas_thread() if k > 1 else contextlib.nullcontext(False) as pinned:
+    with one_blas_thread() if k > 1 else contextlib.nullcontext():
         children = []
         try:
-            for j in range(1, k if pinned else 1):
+            for j in range(1, k):
                 mine = range(j, count, k)
                 children.append(fork(lambda link, r=mine: all(send(link, task(i)) for i in r)))
             for i in range(count):

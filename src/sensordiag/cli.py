@@ -15,7 +15,7 @@ import os
 import signal
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -62,19 +62,13 @@ def _variant(item) -> bool:
 # n_sensors sizes simulate's (32n)^2 block-Toeplitz recursion matrix, m_* the
 # simulated series, n_validation_runs the CSV files it writes and grid_points
 # the sweep grid. lag_depth has no bound: its cost scales with the input CSV,
-# which no config bounds.
+# which no config bounds. The ebf section is EbfParams' fields and defaults.
 _SCHEMA: dict = {
     "sample_period_s": (0.1, lambda v: real(v) and v > 0, "a positive number"),
     "variance_fraction": (0.98, lambda v: real(v) and 0 < v <= 1, "a number in (0, 1]"),
     "alpha": (0.01, lambda v: real(v) and 0 < v < 1, "a number in (0, 1)"),
     "lag_depth": (10, lambda v: integer(v, 0), "a non-negative integer"),
-    "ebf": {
-        "reward": (0.01, real, "a number"),
-        "penalty": (-0.005, real, "a number"),
-        "decision_threshold": (0.2, real, "a number"),
-        "upper_sat": (1.0, real, "a number"),
-        "lower_sat": (0.0, real, "a number"),
-    },
+    "ebf": {f.name: (f.default, real, "a number") for f in fields(EbfParams)},
     "monitor": {
         "method": ("rbc", lambda v: v in _METHODS, "cp|rbc"),
         "index": ("t2", lambda v: v in _INDICES, "spe|t2"),

@@ -9,8 +9,10 @@ vector ``[x(k), x(k-1), ..., x(k-d)]`` of width ``n*(d+1)``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,6 +229,24 @@ def _embedded_rows(data: RawDataset, scaler: ScalerParams, d: int, rows) -> np.n
     return embed_lags(apply_scaler(window, scaler), d).samples[rows.start - lo : rows.stop - lo]
 
 
+@contextlib.contextmanager
+def _written(path):
+    """``path`` opened to write UTF-8 text, each ``\n`` as written. An ``OSError`` while writing
+    or closing it is raised naming it (one from opening it names it already) and removes it if it
+    is a regular file, not a link, device or pipe, so no cut-off file is left to read as valid."""
+    fh = open(path, "w", newline="", encoding="utf-8")
+    regular = os.path.isfile(path) and not os.path.islink(path)
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        if regular:
+            with contextlib.suppress(OSError):  # the write error is the one to report
+                os.unlink(path)
+        exc.filename = str(path)
+        raise
+
+
 _CSV_CHUNK_ROWS = 2048  # body rows formatted per write
 _WRITE_MIN_VALUES = 50_000  # values worth formatting in shares; README "Performance" derives it
 
@@ -318,13 +338,13 @@ def write_raw_csv(data: RawDataset, path: str | Path) -> None:
     Each float is written as its ``repr`` (``%r``), so a read gives back the
     same bits; no repr needs quoting, so the bytes are those ``csv`` writes.
     The body is formatted one block of rows per write to bound memory, in
-    shares on every usable CPU from ``_WRITE_MIN_VALUES`` values on.
+    shares on every usable CPU from ``_WRITE_MIN_VALUES`` values on. A write
+    error removes the file and names it.
     """
-    path = Path(path)
     row_fmt = ",".join(["%r"] * data.n) + "\r\n"
     blocks = [data.samples[lo : lo + _CSV_CHUNK_ROWS] for lo in range(0, data.m, _CSV_CHUNK_ROWS)]
     k = _shares.usable_cpus() if data.samples.size >= _WRITE_MIN_VALUES else 1
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _written(path) as fh:
         csv.writer(fh).writerow(data.sensor_names)
         _shares.in_order(lambda i: (row_fmt * len(blocks[i])) % tuple(blocks[i].ravel().tolist()),
                          len(blocks), k, fh.write)

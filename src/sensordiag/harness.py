@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _shares
-from .dataset import RawDataset, ScalerParams, _embedded_rows
+from .dataset import RawDataset, ScalerParams, _embedded_rows, _written
 from .ebf import EbfParams, filter_stream
 from .errors import (
     AmplitudeOverflow,
@@ -278,7 +278,7 @@ def _pool(parts, what: str) -> float:
     in run order."""
     total = 0
     acc = 0
-    for part, count in parts:
+    for part, count, *_ in parts:  # a sweep's index cells add a finite flag
         acc += part
         total += count
     if total == 0:
@@ -325,7 +325,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        with _written(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["amplitude", "method", "index", "ebf", "isolation_pct", "recon_err_pct"]
@@ -348,7 +348,8 @@ class EvalReport:
             "rows": [asdict(row) for row in self.rows],
         }
         text = json.dumps(payload, indent=1, allow_nan=False)  # NaN and Infinity are not JSON
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        with _written(path) as fh:
+            fh.write(text + "\n")
 
 
 DEFAULT_VARIANTS: tuple[tuple[IsolationMethod, bool], ...] = (
@@ -391,12 +392,12 @@ def _faulty_runs(model: PcaModel, run: RawDataset, target: int, amplitudes, onse
 
 
 class _RunScore(NamedTuple):
-    """One validation run's partials, one dict per list for each amplitude scored,
-    in grid order, and its failure ``(position, phase, error)`` or ``None``."""
+    """One validation run's cells, one dict per amplitude scored, in grid order, and its
+    failure ``(position, phase, error)`` or ``None``. A cell maps each ``(tag, use_ebf)`` to
+    ``(winners on the target, stream length)`` (see _filter_runs) and each index to
+    ``(summed relative error, estimate count, whether every estimate is finite)``."""
 
-    hits: list  # (tag, use_ebf) -> (winners on the target, stream length); see _filter_runs
-    errors: list  # index -> (summed relative error, estimate count)
-    finite: list  # index -> whether every estimate is finite
+    cells: list
     failure: tuple | None = None
 
 
@@ -411,29 +412,27 @@ def _score_run(
     ``filtered`` keeps its raw winners, in the smallest sensor-index dtype, under ``(tag, True)``.
     """
     std_target = float(model.scaler.std[target])
-    score = _RunScore([], [], [])
+    score = _RunScore([])
     faulty = _faulty_runs(model, run, target, amplitudes, onset)
     for j, amplitude in enumerate(amplitudes):
         try:
             z = next(faulty)
         except SensorDiagError as exc:
             return score._replace(failure=(j, 0, exc))
-        hits, errors, finite = {}, {}, {}
+        cell = {}
         try:
             for tag in tags:
                 winners = np.argmax(contribution_matrix(model, z, tag), axis=1)
-                hits[tag, False] = _target_hits(winners, target)
+                cell[tag, False] = _target_hits(winners, target)
                 if tag in filtered:
-                    hits[tag, True] = winners.astype(np.min_scalar_type(-model.n))
+                    cell[tag, True] = winners.astype(np.min_scalar_type(-model.n))
             for idx in indices:
                 estimates = estimate_matrix(model, z, target, idx) * std_target
-                errors[idx] = _error_sum(estimates, amplitude)
-                finite[idx] = bool(np.isfinite(estimates).all())
+                cell[idx] = (*_error_sum(estimates, amplitude), bool(np.isfinite(estimates).all()))
         except SensorDiagError as exc:
             return score._replace(failure=(j, 1, exc))
-        for parts, cell in zip(score, (hits, errors, finite)):
-            parts.append(cell)
-        if not all(math.isfinite(err) for err, _ in errors.values()):
+        score.cells.append(cell)
+        if not all(math.isfinite(cell[idx][0]) for idx in indices):
             return score._replace(failure=(j, 2, None))
     return score
 
@@ -442,15 +441,15 @@ def _filter_runs(model: PcaModel, scores, target: int, filtered, ebf_params) -> 
     """Replace each raw winner stream in ``scores`` by its filtered stream's target hits,
     from one filter pass per tag over a right-padded batch. The filter is causal and starts
     each row from a fresh state, so neither padding nor other rows change a stream's hits."""
-    cells = [hits for score in scores for hits in score.hits]
+    cells = [cell for score in scores for cell in score.cells]
     for tag in filtered if cells else ():
-        streams = [hits.pop((tag, True)) for hits in cells]
+        streams = [cell.pop((tag, True)) for cell in cells]
         batch = np.zeros((len(streams), max(map(len, streams))), streams[0].dtype)
         for row, stream in zip(batch, streams):
             row[: stream.size] = stream
         del streams  # the batch holds the only copy the filter reads
-        for row, hits in zip(filter_stream(batch, model.n, ebf_params), cells):
-            hits[tag, True] = _target_hits(row[: hits[tag, False][1]], target)
+        for row, cell in zip(filter_stream(batch, model.n, ebf_params), cells):
+            cell[tag, True] = _target_hits(row[: cell[tag, False][1]], target)
     return scores
 
 
@@ -460,35 +459,31 @@ def _pool_runs(scores, grid, variants) -> list:
     # First in (position, phase, run) order: min keeps the earlier of two equal keys.
     failure = min((s.failure for s in scores if s.failure), key=lambda f: f[:2], default=None)
     scored = [i for i, a in enumerate(grid) if a != 0.0]  # a zero amplitude is skipped
-    iso: dict = {}  # (grid position, (tag, use_ebf)) -> isolation percentage
-    recon: dict = {}  # (grid position, index) -> reconstruction error
+    pooled: dict = {}  # (grid position, (tag, use_ebf) or index) -> percentage
     for j, i in enumerate(scored):
         if failure is not None and failure[0] == j and failure[2] is not None:
             raise failure[2]
-        # Percentages count integer winners, so only the errors can overflow.
-        for idx in scores[0].errors[j]:
-            err = _pool((s.errors[j][idx] for s in scores), "estimates")
-            if not math.isfinite(err):
-                if all(s.finite[j][idx] for s in scores):
+        for key in scores[0].cells[j]:
+            pct = _pool((s.cells[j][key] for s in scores), "scored samples")
+            if not math.isfinite(pct):  # an index's errors: hits count integer winners
+                if all(s.cells[j][key][2] for s in scores):
                     raise AmplitudeOverflow(
-                        f"{idx.value} estimates at amplitude {grid[i]!r} are all finite, "
+                        f"{key.value} estimates at amplitude {grid[i]!r} are all finite, "
                         "but their errors relative to the amplitude overflow float64"
                     )
                 raise NonFiniteResult(
-                    f"{idx.value} estimates at amplitude {grid[i]!r} score a "
+                    f"{key.value} estimates at amplitude {grid[i]!r} score a "
                     "non-finite error; the faulty data overflow float64"
                 )
-            recon[i, idx] = err
-        for key in scores[0].hits[j]:
-            iso[i, key] = _pool((s.hits[j][key] for s in scores), "post-onset samples")
+            pooled[i, key] = pct
     return [
         ReportRow(
             amplitude=amplitude or 0.0,  # a skipped -0.0 reads 0.0
             method=tag.method.value,
             index=tag.index.value,
             ebf=use_ebf,
-            isolation_pct=iso.get((i, (tag, use_ebf))),
-            recon_err_pct=recon.get((i, tag.index)),
+            isolation_pct=pooled.get((i, (tag, use_ebf))),
+            recon_err_pct=pooled.get((i, tag.index)),
             skipped=amplitude == 0.0,
         )
         for i, amplitude in enumerate(grid)
@@ -497,15 +492,6 @@ def _pool_runs(scores, grid, variants) -> list:
 
 
 _PARALLEL_MIN_WORK = 500_000  # scored products worth a fork; README "Performance" derives it
-
-
-def _score_shares(score_share, count: int, work: int) -> list:
-    """``score_share(lo, hi)`` over one contiguous share of ``range(count)`` per usable CPU,
-    in order, through ``_shares.in_order``. When to stay serial: README "Performance"."""
-    k = min(count, _shares.usable_cpus()) if work >= _PARALLEL_MIN_WORK else 1
-    bounds, scores = [count * i // k for i in range(k + 1)], []
-    _shares.in_order(lambda i: score_share(bounds[i], bounds[i + 1]), k, k, scores.extend)
-    return scores
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
@@ -521,8 +507,8 @@ def sweep(
 ) -> EvalReport:
     """Evaluate every (amplitude, variant) cell over the validation runs.
 
-    With more than one usable CPU, large sweeps score and filter shares of the runs
-    in forked child processes; the result is the same (README "Performance").
+    With more than one usable CPU and OpenBLAS's thread setter, large sweeps score and filter
+    shares of the runs in forked child processes; the result is the same (README "Performance").
 
     Parameters
     ----------
@@ -610,6 +596,10 @@ def sweep(
                 limit = score.failure[0] + 1
         return _filter_runs(model, scores, target, filtered, ebf_params)
 
+    # One share per usable CPU where a fork pays and BLAS can be pinned; README "Performance".
     rows = sum(max(run.m - onset, 0) for run, onset in zip(runs, onsets))  # scored per amplitude
-    scores = _score_shares(score_share, len(runs), rows * stop * (len(tags) + len(indices)))
+    pays = rows * stop * (len(tags) + len(indices)) >= _PARALLEL_MIN_WORK
+    k = min(len(runs), _shares.usable_cpus()) if pays and _shares.blas_threads() else 1
+    bounds, scores = [len(runs) * i // k for i in range(k + 1)], []
+    _shares.in_order(lambda i: score_share(bounds[i], bounds[i + 1]), k, k, scores.extend)
     return EvalReport(_pool_runs(scores, grid, variants), metadata)

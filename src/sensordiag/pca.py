@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonin import floats, integer, list_of, read_object, real
-from .dataset import ScaledDataset, ScalerParams
+from .dataset import ScaledDataset, ScalerParams, _written
 from .errors import (
     CorruptModelFile,
     DegenerateSpectrum,
@@ -292,10 +292,10 @@ def _model_payload(model: PcaModel) -> dict:
 
 
 def save_model(model: PcaModel, path: str | Path) -> None:
-    """Serialize the model to JSON; floats round-trip exactly."""
-    Path(path).write_text(
-        json.dumps(_model_payload(model), indent=1) + "\n", encoding="utf-8"
-    )
+    """Serialize the model to JSON; floats round-trip exactly. A write error removes the file."""
+    text = json.dumps(_model_payload(model), indent=1) + "\n"
+    with _written(path) as fh:
+        fh.write(text)
 
 
 # Every model key in file order: (check, what the value must be), or None

@@ -3,16 +3,19 @@ block, the resolved config embedded in ``report.json``, and a fuzz over
 config files for every command."""
 
 import contextlib
+import inspect
 import io
 import json
 import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensordiag import EbfParams, default_sim_config, fit_pca
 from sensordiag.cli import DEFAULT_CONFIG, load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -181,6 +184,20 @@ def test_readme_block_is_the_default_config():
     readme = json.loads(readme_config_block())
     # json.dumps keeps insertion order, so this compares key order too.
     assert json.dumps(readme) == json.dumps(DEFAULT_CONFIG)
+
+
+def test_ebf_defaults_are_the_parameter_defaults():
+    # asdict keeps field order, so this compares key order too.
+    assert json.dumps(DEFAULT_CONFIG["ebf"]) == json.dumps(asdict(EbfParams()))
+
+
+def test_simulate_and_fit_defaults_are_the_functions_defaults():
+    sim = inspect.signature(default_sim_config).parameters
+    fit = inspect.signature(fit_pca).parameters
+    for key in ("n_sensors", "m_train", "seed", "noise_std", "structure_seed"):
+        assert DEFAULT_CONFIG["simulate"][key] == sim["m_samples" if key == "m_train" else key].default, key
+    for key in ("variance_fraction", "alpha"):
+        assert DEFAULT_CONFIG[key] == fit[key].default, key
 
 
 @pytest.fixture(scope="module")

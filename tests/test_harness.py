@@ -650,15 +650,15 @@ class TestRunIndependence:
         assert outcome(lambda: scored_apart(model, runs, target, grid, **kwargs)) == expected
 
     def test_a_share_sends_back_numbers_only(self, monkeypatch):
-        # A child pickles its share's results back to the parent: once the
-        # share has filtered its streams, they hold counts, sums and flags.
-        sent = []
+        # A child pickles its share's results back to the parent: what
+        # _filter_runs returns, which holds counts, sums and flags.
+        sent, filter_runs = [], harness._filter_runs
 
-        def one_share(score_share, count, work):
-            sent.append(pickle.dumps(score_share(0, count)))
+        def pickled(*args):
+            sent.append(pickle.dumps(filter_runs(*args)))
             return pickle.loads(sent[-1])
 
-        monkeypatch.setattr(harness, "_score_shares", one_share)
+        monkeypatch.setattr(harness, "_filter_runs", pickled)
         model, runs, target, grid, kwargs = self.CASES["ebf-ragged"]()
         sweep(model, runs, target, grid, **kwargs)
         assert len(sent) == 1 and b"numpy" not in sent[0]

@@ -14,6 +14,7 @@ import os
 import signal
 import socket
 
+import numpy as np
 import pytest
 
 import test_harness as th
@@ -41,8 +42,14 @@ def serial_outcome(case):
     return th.outcome(lambda: sweep(model, runs, target, grid, **kwargs).rows)
 
 
-@needs_blas
+def counting_filter_batches(monkeypatch):
+    calls, filter_runs = [], harness._filter_runs
+    monkeypatch.setattr(harness, "_filter_runs", lambda *args: calls.append(1) or filter_runs(*args))
+    return calls
+
+
 class TestSameResultAtAnyShareCount:
+    @needs_blas
     @pytest.mark.parametrize("count", [2, 4])
     @pytest.mark.parametrize("case", list(th.TestRunIndependence.CASES))
     def test_rows_or_error_match_serial(self, monkeypatch, case, count):
@@ -53,6 +60,18 @@ class TestSameResultAtAnyShareCount:
         assert serial_outcome(case) == expected
         no_child_left()
 
+    @pytest.mark.parametrize("case", list(th.TestRunIndependence.CASES))
+    def test_without_the_setter_the_sweep_is_one_share(self, monkeypatch, case):
+        # Every case has at least two runs, so more than one share would filter in more batches.
+        expected = serial_outcome(case)
+        monkeypatch.setattr(_shares, "blas_threads", lambda: None)
+        monkeypatch.setattr(os, "fork", forbidden_fork)
+        shares(monkeypatch, 4)
+        batches = counting_filter_batches(monkeypatch)
+        assert serial_outcome(case) == expected
+        assert len(batches) == 1
+
+    @needs_blas
     def test_golden_c7_stays_exact(self, monkeypatch):
         shares(monkeypatch, 2)
         assert _run_criterion7() == GOLDEN_C7
@@ -216,6 +235,21 @@ def test_serial_fallback_never_forks(monkeypatch, reason):
     else:
         monkeypatch.setattr(harness, "_PARALLEL_MIN_WORK", 10**18)
     assert [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0]).rows] == expected
+
+
+def test_without_the_setter_a_large_sweep_filters_in_one_batch(monkeypatch):
+    model, runs, grid = th.small_model(), th.validation_runs(4), np.linspace(-3.0, 3.0, 160)
+    variants = [(th.RBC_T2, True), (th.CP_SPE, False)]
+    # 4 runs x 200 post-onset rows x 160 amplitudes x (2 tags + 2 indices) scored products
+    assert 4 * 200 * 160 * 4 >= harness._PARALLEL_MIN_WORK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = [repr(row) for row in sweep(model, runs, 0, grid, variants).rows]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_shares, "blas_threads", lambda: None)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    batches = counting_filter_batches(monkeypatch)
+    assert [repr(row) for row in sweep(model, runs, 0, grid, variants).rows] == expected
+    assert len(batches) == 1
 
 
 @needs_blas

@@ -7,6 +7,8 @@
   against the one-step-at-a-time loop.
 * ``write_raw_csv`` formats its blocks in forked shares, checked against the
   serial writer at every share count and whenever a share's child fails.
+* A write error, in ``simulate``'s CSV files, ``fit``'s model or ``eval``'s
+  reports, names the file and leaves none of it behind.
 * The bytes ``simulate`` writes do not depend on the BLAS thread count.
 """
 
@@ -16,18 +18,19 @@ import json
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import test_harness as th
-from sensordiag import RawDataset, _shares, dataset, default_sim_config, harness, simulate, write_raw_csv
+from sensordiag import RawDataset, _shares, cli, dataset, default_sim_config, harness, simulate, write_raw_csv
 
 SRC = Path(dataset.__file__).resolve().parents[1]
-needs_blas = pytest.mark.skipif(_shares.blas_threads() is None, reason="no OpenBLAS thread setter is loaded")
 pytestmark = pytest.mark.filterwarnings("ignore:.*use of fork:DeprecationWarning")
 BLOCK = dataset._CSV_CHUNK_ROWS
 
@@ -127,7 +130,6 @@ def counting_forks(monkeypatch):
     return forks
 
 
-@needs_blas
 class TestWriterShares:
     @pytest.mark.parametrize("rows", [2, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3])
     def test_every_share_count_writes_the_serial_bytes(self, monkeypatch, tmp_path, rows):
@@ -141,6 +143,18 @@ class TestWriterShares:
             assert (tmp_path / f"{count}.csv").read_bytes() == expected, count
         blocks = -(-rows // BLOCK)
         assert len(forks) == min(2, blocks) - 1 + min(4, blocks) - 1
+        no_child_left()
+
+    def test_without_the_blas_setter_it_still_forks(self, monkeypatch, tmp_path):
+        # A child only formats text, so no BLAS thread count needs pinning first.
+        data = dataset_of(5 * BLOCK + 3)
+        write_raw_csv(data, tmp_path / "serial.csv")
+        monkeypatch.setattr(_shares, "blas_threads", lambda: None)
+        forks = counting_forks(monkeypatch)
+        shares(monkeypatch, 2)
+        write_raw_csv(data, tmp_path / "shared.csv")
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert len(forks) == 1
         no_child_left()
 
     def test_below_the_threshold_it_never_forks(self, monkeypatch, tmp_path):
@@ -198,32 +212,97 @@ WRITE_LIMITED = """
 import os, resource, signal, sys
 from sensordiag import cli, dataset
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
-resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+limit = int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 if sys.argv[1] == "shares":
     os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
     dataset._WRITE_MIN_VALUES = 0
 else:
     os.sched_getaffinity = lambda pid: {0}
-sys.exit(cli.main(["--config", sys.argv[2], "simulate", "--out-dir", sys.argv[3]]))
+sys.exit(cli.main(sys.argv[3:]))
 """
+needs_file_limit = pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit signal")
 
 
-@needs_blas
-@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit signal")
+def write_limited(mode, limit, args):
+    """``sensordiag`` with ``args`` in a process that may write files of at most ``limit`` bytes."""
+    run = subprocess.run(
+        [sys.executable, "-c", WRITE_LIMITED, mode, str(limit), *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+def assert_one_line_write_error(outcome, path):
+    """Exit 2, nothing on stdout, and one stderr line naming ``path``, which is gone."""
+    code, stdout, stderr = outcome
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("data error: [Errno 27] File too large") and stderr.count("\n") == 1
+    assert stderr == f"data error: [Errno 27] File too large: {str(path)!r}\n"
+    assert not path.exists()
+
+
+@needs_file_limit
 def test_a_write_error_is_the_serial_one_line_error(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"simulate": {"m_train": 20000, "n_validation_runs": 1}}))
     outcomes = {}
     for mode in ("serial", "shares"):
-        run = subprocess.run(
-            [sys.executable, "-c", WRITE_LIMITED, mode, str(config), str(tmp_path / mode)],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
-        )
-        outcomes[mode] = run.returncode, run.stdout, run.stderr.replace(mode, "<dir>")
-    assert outcomes["shares"] == outcomes["serial"]
-    code, stdout, stderr = outcomes["serial"]
-    assert (code, stdout) == (2, "")
-    assert stderr.startswith("data error: [Errno 27] File too large") and stderr.count("\n") == 1
+        out = tmp_path / mode
+        outcomes[mode] = write_limited(mode, 100_000, ["--config", config, "simulate", "--out-dir", out])
+        assert_one_line_write_error(outcomes[mode], out / "train.csv")
+        assert list(out.iterdir()) == []  # no file is left, and no later one was begun
+    code, stdout, stderr = outcomes["shares"]
+    assert outcomes["serial"] == (code, stdout, stderr.replace(str(tmp_path / "shares"), str(tmp_path / "serial")))
+
+
+@needs_file_limit
+@pytest.mark.parametrize("written", ["model.json", "report.csv", "report.json"])
+def test_a_model_or_report_write_error_names_the_file_and_leaves_none(tmp_path, written):
+    sim = {"n_sensors": 4, "m_train": 1500, "m_validation": 300, "n_validation_runs": 2, "seed": 3}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lag_depth": 2, "variance_fraction": 0.9, "simulate": sim,
+                                  "sweep": {"grid_points": 6}}))
+    assert cli.main(["--config", str(config), "simulate", "--out-dir", str(tmp_path / "data")]) == 0
+    fit = ["--config", config, "fit", tmp_path / "data" / "train.csv", "--model-out", tmp_path / "model.json"]
+    if written == "model.json":
+        assert_one_line_write_error(write_limited("serial", 1000, fit), tmp_path / "model.json")
+        return
+    assert cli.main(list(map(str, fit))) == 0
+    runs = [tmp_path / "data" / f"validation_{j}.csv" for j in (1, 2)]
+    evaluate = ["--config", config, "eval", tmp_path / "model.json", *runs, "--report-out"]
+    assert cli.main(list(map(str, [*evaluate, tmp_path / "full"]))) == 0
+    csv_bytes = (tmp_path / "full.csv").read_bytes()
+    # At the CSV's own size the CSV is written whole and the larger JSON fails.
+    limit = len(csv_bytes) if written == "report.json" else 1000
+    outcome = write_limited("serial", limit, [*evaluate, tmp_path / "report"])
+    assert_one_line_write_error(outcome, tmp_path / written)
+    if written == "report.json":
+        assert (tmp_path / "report.csv").read_bytes() == csv_bytes
+    else:
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_write_error_into_a_pipe_leaves_the_pipe(tmp_path, capsys):
+    """Only a regular file is removed: a pipe (like a device or a link) is not the output's own
+    file, and the message is the write error's, not one from removing it."""
+    out = tmp_path / "data"
+    out.mkdir()
+    pipe = out / "train.csv"
+    os.mkfifo(pipe)
+    # The reader opens, so the writer's open returns, and leaves at once; the train file's
+    # text (about 320 kB, written serially) is more than the pipe holds, so a write fails.
+    reader = threading.Thread(target=lambda: os.close(os.open(pipe, os.O_RDONLY)), daemon=True)
+    reader.start()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {"n_sensors": 4, "m_train": 4000, "n_validation_runs": 1}}))
+    code = cli.main(["--config", str(config), "simulate", "--out-dir", str(out)])
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert (code, capsys.readouterr().err) == (2, f"data error: [Errno 32] Broken pipe: {str(pipe)!r}\n")
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert os.listdir(out) == ["train.csv"]
 
 
 SIMULATE_N18 = """

@@ -35,7 +35,7 @@ from .errors import (
     IndexOutOfRange,
     SensorDiagError,
 )
-from .harness import DEFAULT_VARIANTS, default_sim_config, simulate, sweep
+from .harness import DEFAULT_STRUCTURE_SEED, DEFAULT_VARIANTS, default_sim_config, simulate, sweep
 from .isolation import (
     ContributionMethod,
     DetectionIndex,
@@ -44,7 +44,7 @@ from .isolation import (
 )
 from .pca import fit_pca, load_model, save_model
 
-_METHODS, _INDICES = ("cp", "rbc"), ("spe", "t2")
+_METHODS, _INDICES = [m.value for m in ContributionMethod], [i.value for i in DetectionIndex]
 
 
 def _variant(item) -> bool:
@@ -96,7 +96,9 @@ _SCHEMA: dict = {
         "m_validation": (5000, lambda v: integer(v, 1, 1_000_000), "an integer in [1, 1000000]"),
         "n_validation_runs": (4, lambda v: integer(v, 1, 1000), "an integer in [1, 1000]"),
         "seed": (1, lambda v: integer(v, 0), "a non-negative integer"),
-        "structure_seed": (118, lambda v: integer(v, 0), "a non-negative integer"),
+        "structure_seed": (
+            DEFAULT_STRUCTURE_SEED, lambda v: integer(v, 0), "a non-negative integer"
+        ),
         "noise_std": (1.0, lambda v: real(v) and v >= 0, "a non-negative number"),
     },
 }

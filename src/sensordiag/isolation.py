@@ -114,12 +114,13 @@ def direction(model: "PcaModel", sensor: int) -> np.ndarray:
 
 
 def _kernel(model: "PcaModel", tag: IsolationMethod) -> np.ndarray:
-    """Matrix whose sensor-direction components are squared into scores."""
+    """The matrix whose sensor-direction components are squared into scores:
+    ``P̃P̃ᵀ`` for SPE; for T2 ``D = P̂Λ̂⁻¹P̂ᵀ`` (RBC) or its root ``P̂Λ̂^-½P̂ᵀ`` (CP)."""
     if tag.index is DetectionIndex.SPE:
-        return model.c_tilde
-    if tag.method is ContributionMethod.CP:
-        return model.d_sqrt
-    return model.d_mat
+        return model.p_tilde @ model.p_tilde.T
+    model._require_invertible_lambda()
+    w = model.lambda_hat if tag.method is ContributionMethod.RBC else np.sqrt(model.lambda_hat)
+    return (model.p_hat / w) @ model.p_hat.T
 
 
 def _attribution(
@@ -127,7 +128,7 @@ def _attribution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(K·U, diag(UᵀKU))`` of the variant's kernel ``K``, built once per model.
 
-    Kept in the model's instance dict beside the cached kernels. Column ``s``
+    Kept in the model's instance dict, which holds no ``K``. Column ``s``
     is ``K @ u`` and its denominator ``u @ (K @ u)`` for ``u = direction(s)``,
     so both match the per-sensor products bit for bit at any ``n``; a single
     ``K @ U`` may sum the lag copies in another order.
@@ -188,7 +189,7 @@ def estimate_matrix(
 ) -> np.ndarray:
     """Standardized fault amplitudes along one sensor for a batch of rows.
 
-    Reads column ``sensor`` of the cached kernel of the RBC variant of
+    Reads column ``sensor`` of the cached ``K·U`` of the RBC variant of
     ``index``, so estimates and RBC scores share one computation.
     """
     rows = _rows(model, x)

@@ -1,4 +1,4 @@
-"""Principal-component model fitting, projectors, and persistence.
+"""Principal-component model fitting and persistence.
 
 The model is fitted on standardized (optionally lag-extended) training data:
 the sample covariance is eigendecomposed, the leading ``l`` eigenvectors
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -117,28 +116,6 @@ class PcaModel:
     def n_e(self) -> int:
         """Extended variable count ``n * (d + 1)``."""
         return self.n * (self.d + 1)
-
-    @cached_property
-    def c_hat(self) -> np.ndarray:
-        """Orthogonal projector onto the principal subspace."""
-        return self.p_hat @ self.p_hat.T
-
-    @cached_property
-    def c_tilde(self) -> np.ndarray:
-        """Orthogonal projector onto the residual subspace."""
-        return self.p_tilde @ self.p_tilde.T
-
-    @cached_property
-    def d_mat(self) -> np.ndarray:
-        """Inverse-eigenvalue-weighted principal projector (Mahalanobis kernel)."""
-        self._require_invertible_lambda()
-        return (self.p_hat / self.lambda_hat) @ self.p_hat.T
-
-    @cached_property
-    def d_sqrt(self) -> np.ndarray:
-        """Unique PSD square root of :attr:`d_mat`."""
-        self._require_invertible_lambda()
-        return (self.p_hat / np.sqrt(self.lambda_hat)) @ self.p_hat.T
 
     def _require_invertible_lambda(self) -> None:
         if self.l == 0 or (self.lambda_hat <= 1e-12).any():

@@ -1,6 +1,8 @@
 import csv
+import errno
 import json
 import math
+import os
 import signal
 from pathlib import Path
 
@@ -270,11 +272,22 @@ def tampered_model(text: str, defect: str) -> tuple[str, str]:
     return text.replace(json.dumps(_DEEP), "[" * 100_000 + "]" * 100_000), message
 
 
+def projectors(model: PcaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(Ĉ, C̃, D, D^½)`` built from the model's loadings: the principal and
+    residual projectors, the Mahalanobis matrix and its PSD square root."""
+    c_hat = model.p_hat @ model.p_hat.T
+    c_tilde = model.p_tilde @ model.p_tilde.T
+    d_mat = (model.p_hat / model.lambda_hat) @ model.p_hat.T
+    d_sqrt = (model.p_hat / np.sqrt(model.lambda_hat)) @ model.p_hat.T
+    return c_hat, c_tilde, d_mat, d_sqrt
+
+
 def oracle_kernel(model: PcaModel, method, index) -> np.ndarray:
-    """The variant's kernel K, read straight from the model's projectors."""
+    """The variant's kernel K, built here from the model's loadings."""
+    _, c_tilde, d_mat, d_sqrt = projectors(model)
     if index is DetectionIndex.SPE:
-        return model.c_tilde
-    return model.d_sqrt if method is ContributionMethod.CP else model.d_mat
+        return c_tilde
+    return d_sqrt if method is ContributionMethod.CP else d_mat
 
 
 def oracle_direction_matrix(model: PcaModel) -> np.ndarray:
@@ -459,3 +472,19 @@ def oracle_monitor_ndjson(model: PcaModel, csv_path, monitor: dict, params) -> s
         }
         lines.append(json.dumps(record) + "\n")
     return "".join(lines)
+
+
+def no_child_left():
+    """Every child a forking test made has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forbidden_fork():
+    """An ``os.fork`` that a serial path must never call."""
+    raise AssertionError("os.fork was called")
+
+
+def no_socket_pair(*args, **kwargs):
+    """A ``socket.socketpair`` at the open-file limit."""
+    raise OSError(errno.EMFILE, "Too many open files")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from sensordiag.errors import (
     DegenerateDirection,
     DimensionMismatch,
     IndexOutOfRange,
+    SingularLambda,
 )
 from conftest import (
     assert_same_winners,
@@ -33,6 +36,7 @@ from conftest import (
     oracle_estimate_matrix,
     oracle_kernel,
     oracle_reconstruct,
+    projectors,
 )
 
 CP_SPE = IsolationMethod(ContributionMethod.CP, DetectionIndex.SPE)
@@ -44,17 +48,18 @@ ALL_METHODS = (CP_SPE, CP_T2, RBC_SPE, RBC_T2)
 
 def reference_scores(model, x, tag):
     """Direct per-sensor loop; independent of the vectorized aggregation."""
+    _, c_tilde, d_mat, d_sqrt = projectors(model)
     out = np.zeros(model.n)
     for i in range(model.n):
         u = direction(model, i)
         if tag == CP_SPE:
-            out[i] = float(u @ model.c_tilde @ x) ** 2
+            out[i] = float(u @ c_tilde @ x) ** 2
         elif tag == CP_T2:
-            out[i] = float(u @ model.d_sqrt @ x) ** 2
+            out[i] = float(u @ d_sqrt @ x) ** 2
         elif tag == RBC_SPE:
-            out[i] = float(u @ model.c_tilde @ x) ** 2 / float(u @ model.c_tilde @ u)
+            out[i] = float(u @ c_tilde @ x) ** 2 / float(u @ c_tilde @ u)
         else:
-            out[i] = float(u @ model.d_mat @ x) ** 2 / float(u @ model.d_mat @ u)
+            out[i] = float(u @ d_mat @ x) ** 2 / float(u @ d_mat @ u)
     return out
 
 
@@ -138,7 +143,7 @@ class TestContributions:
     def test_rbc_is_scaled_cp_plain_model(self):
         model = make_model(n=5, m=400, seed=41)
         rng = np.random.default_rng(42)
-        c_diag = np.diag(model.c_tilde)
+        c_diag = np.diag(projectors(model)[1])
         assert ((c_diag > 0) & (c_diag <= 1 + 1e-12)).all()
         for _ in range(50):
             x = rng.standard_normal(model.n_e)
@@ -435,6 +440,20 @@ class TestAttributionErrors:
                 with pytest.raises(DegenerateDirection) as err:
                     estimate_matrix(model, x, bad, index)
                 assert err.value.sensor == bad
+
+    def test_singular_lambda_raises_before_degenerate_direction(self):
+        # sensor 1 is degenerate for RBC-T2 too, but T2 is undefined first
+        model = replace(axis_model(), lambda_hat=np.array([1e-12]))
+        x = np.ones((3, 2))
+        for _ in range(2):
+            for tag in (CP_T2, RBC_T2):
+                with pytest.raises(SingularLambda):
+                    contribution_matrix(model, x, tag)
+            with pytest.raises(SingularLambda):
+                estimate_matrix(model, x, 1, DetectionIndex.T2)
+        with pytest.raises(DegenerateDirection):
+            contribution_matrix(model, x, RBC_SPE)
+        assert contribution_matrix(model, x, CP_SPE).shape == (3, 2)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from sensordiag import cli
+from conftest import forbidden_fork, no_child_left, no_socket_pair
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -102,11 +103,6 @@ def forks(monkeypatch) -> list[int]:
     return pids
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def monitor(config, model, csv):
     """``(exit code, stdout, stderr)`` of one in-process ``monitor`` run."""
     out, err = io.StringIO(), io.StringIO()
@@ -127,10 +123,6 @@ def serial_and_pipelined(monkeypatch, config, model, csv):
     assert len(pids) == 1
     no_child_left()
     return serial, pipelined
-
-
-def forbidden_fork():
-    raise AssertionError("os.fork was called")
 
 
 def write_config(tmp_path, content) -> Path:
@@ -205,10 +197,6 @@ def test_a_failed_fork_renders_here(tmp_path, monkeypatch, long_series, failure)
     assert len(calls) == 1
     assert len(os.listdir("/proc/self/fd")) == fds  # both ends of the socket pair are closed
     no_child_left()
-
-
-def no_socket_pair(*args, **kwargs):
-    raise OSError(errno.EMFILE, "Too many open files")
 
 
 def test_a_failed_socket_pair_renders_here(tmp_path, monkeypatch, long_series):

@@ -21,6 +21,7 @@ import test_harness as th
 from test_acceptance import GOLDEN_C7, _run_criterion7
 from sensordiag import _shares, cli, harness, sweep
 from sensordiag.errors import NonFiniteResult
+from conftest import forbidden_fork, no_child_left, no_socket_pair
 
 BLAS = _shares.blas_threads()
 needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter is loaded")
@@ -30,11 +31,6 @@ def shares(monkeypatch, count):
     """Let ``sweep`` cut its runs into up to ``count`` shares, whatever its work."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(harness, "_PARALLEL_MIN_WORK", 0)
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def serial_outcome(case):
@@ -204,10 +200,6 @@ class TestBlasThreads:
         no_child_left()
 
 
-def forbidden_fork():
-    raise AssertionError("os.fork was called")
-
-
 def unreadable(*args, **kwargs):
     raise FileNotFoundError(2, "No such file or directory", "/proc/self/maps")
 
@@ -311,10 +303,6 @@ def test_a_child_cut_off_mid_message_has_its_share_scored_by_the_parent(monkeypa
     shares(monkeypatch, 4)
     assert [repr(row) for row in sweep(model, runs, 0, [1.0, -2.0, 0.5], variants).rows] == expected
     no_child_left()
-
-
-def no_socket_pair(*args, **kwargs):
-    raise OSError(errno.EMFILE, "Too many open files")
 
 
 @needs_blas

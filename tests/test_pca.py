@@ -33,7 +33,9 @@ from sensordiag.errors import (
     SchemaVersionMismatch,
     UndersampledFit,
 )
-from conftest import MODEL_DEFECTS, REF2_V, make_model, make_scaled, ref2_training_set, tampered_model
+from conftest import (
+    MODEL_DEFECTS, REF2_V, make_model, make_scaled, projectors, ref2_training_set, tampered_model
+)
 
 
 def identity_scaled(x):
@@ -125,10 +127,11 @@ class TestModelInvariants:
         eye = np.eye(model.n_e)
         gram = np.hstack([model.p_hat, model.p_tilde])
         np.testing.assert_allclose(gram.T @ gram, eye, atol=1e-9)
-        np.testing.assert_allclose(model.c_hat + model.c_tilde, eye, atol=1e-9)
-        np.testing.assert_allclose(model.c_hat @ model.c_hat, model.c_hat, atol=1e-9)
-        np.testing.assert_allclose(model.c_tilde @ model.c_tilde, model.c_tilde, atol=1e-9)
-        np.testing.assert_allclose(model.c_hat @ model.c_tilde, 0 * eye, atol=1e-9)
+        c_hat, c_tilde, _, _ = projectors(model)
+        np.testing.assert_allclose(c_hat + c_tilde, eye, atol=1e-9)
+        np.testing.assert_allclose(c_hat @ c_hat, c_hat, atol=1e-9)
+        np.testing.assert_allclose(c_tilde @ c_tilde, c_tilde, atol=1e-9)
+        np.testing.assert_allclose(c_hat @ c_tilde, 0 * eye, atol=1e-9)
 
     def test_spectrum_reconstruction(self):
         data = make_scaled(n=5, m=400, seed=12)
@@ -155,8 +158,8 @@ class TestModelInvariants:
 
 
     def test_fields_cannot_be_assigned(self):
-        # The projectors and attribution kernels are cached on first use, so a
-        # field assigned afterwards would leave scoring on the old loadings.
+        # The attribution kernels are cached on first use, so a field assigned
+        # afterwards would leave scoring on the old loadings.
         model = make_model(n=4, m=300, seed=16, d=1)
         tag = IsolationMethod(ContributionMethod.RBC, DetectionIndex.T2)
         before = contribution_matrix(model, np.ones((3, model.n_e)), tag)
@@ -168,26 +171,30 @@ class TestModelInvariants:
 
 class TestProject:
     """A sample splits into its principal part ``x @ c_hat`` and its residual
-    part ``x @ c_tilde``."""
+    part ``x @ c_tilde``, projectors built from the loadings."""
 
     def test_ref2_vector(self, ref2):
         x = np.array([1.0, 0.0])
-        np.testing.assert_allclose(x @ ref2.c_hat, [0.5, 0.5], rtol=1e-12)
-        np.testing.assert_allclose(x @ ref2.c_tilde, [0.5, -0.5], rtol=1e-12)
+        c_hat, c_tilde, _, _ = projectors(ref2)
+        np.testing.assert_allclose(x @ c_hat, [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(x @ c_tilde, [0.5, -0.5], rtol=1e-12)
 
     def test_eigenvector_has_no_residual(self, ref2):
-        np.testing.assert_allclose(ref2.p_hat[:, 0] @ ref2.c_tilde, np.zeros(2), atol=1e-12)
+        c_tilde = projectors(ref2)[1]
+        np.testing.assert_allclose(ref2.p_hat[:, 0] @ c_tilde, np.zeros(2), atol=1e-12)
 
     def test_zero_vector(self, ref2):
         x = np.zeros(2)
-        assert not (x @ ref2.c_hat).any() and not (x @ ref2.c_tilde).any()
+        c_hat, c_tilde, _, _ = projectors(ref2)
+        assert not (x @ c_hat).any() and not (x @ c_tilde).any()
 
     def test_parts_sum_and_orthogonality(self):
         model = make_model(n=5, m=300, seed=16)
+        c_hat, c_tilde, _, _ = projectors(model)
         rng = np.random.default_rng(17)
         for _ in range(50):
             x = rng.standard_normal(model.n_e)
-            x_hat, x_tilde = x @ model.c_hat, x @ model.c_tilde
+            x_hat, x_tilde = x @ c_hat, x @ c_tilde
             np.testing.assert_allclose(x_hat + x_tilde, x, atol=1e-9)
             assert abs(x_hat @ x_tilde) < 1e-9
 
@@ -441,7 +448,7 @@ class TestResidualStd:
     def test_matches_empirical_residual_spread(self):
         data = make_scaled(n=5, m=5000, seed=19)
         model = fit_pca(data, 0.8)
-        resid = data.samples @ model.c_tilde
+        resid = data.samples @ projectors(model)[1]
         for i in range(model.n):
             empirical = resid[:, i].std(ddof=1)
             assert model.residual_std(i) / model.scaler.std[i] == pytest.approx(

@@ -1,8 +1,9 @@
 """Each layer module's ``__all__`` names only what it defines, and the
 package re-exports all of it, so ``from sensordiag.<module> import *`` works.
 Every public name has a user outside the tests. One module reads the JSON
-files that come from outside the program, and one stores the scaler tiled
-over the lag blocks."""
+files that come from outside the program, one stores the scaler tiled over
+the lag blocks and one forms the attribution kernels. Every file parses
+under the grammar of the oldest supported Python."""
 
 import ast
 import functools
@@ -104,9 +105,32 @@ def test_one_owner_of_the_tiled_scaler():
     assert hits == ["pca.py"]
 
 
+def test_one_owner_of_the_attribution_kernels():
+    """Only ``isolation.py`` forms a kernel from the loadings (the residual
+    projector, the Mahalanobis matrix or its square root), so the model keeps
+    no dense projector and a second copy of the attribution math fails here."""
+    pattern = r"p_hat\.T|p_tilde\.T"
+    hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
+    assert hits == ["isolation.py"]
+
+
 def test_one_owner_of_forked_work():
     """Only ``_shares.py`` forks, talks to a child over its socket pair, ends it or
     reaches a native library, so a second copy of the fork policy fails here."""
     pattern = r"os\.fork\(|os\._exit\(|os\.waitpid\(|socketpair\(|MSG_NOSIGNAL|ctypes\."
     hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
     assert hits == ["_shares.py"]
+
+
+def test_the_oldest_supported_python_parses_every_file():
+    """A grammar check only: ``ast.parse`` at ``feature_version`` rejects what
+    the oldest Python in ``requires-python`` cannot parse (``except*``, say);
+    names its library lacks pass it."""
+    pyproject = (ROOT / "pyproject.toml").read_text("utf-8")
+    oldest = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=oldest)
+    files = sorted(f for d in ("src", "tests", "perfbench") for f in (ROOT / d).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text("utf-8"), str(path), feature_version=oldest)

@@ -16,16 +16,12 @@ import signal
 import pytest
 
 from sensordiag import _shares, cli, dataset, harness
+from conftest import no_child_left
 
 needs_pidfd = pytest.mark.skipif(
     not (hasattr(os, "pidfd_open") and hasattr(signal, "pidfd_send_signal")), reason="no pidfds"
 )
 pytestmark = pytest.mark.filterwarnings("ignore:.*use of fork:DeprecationWarning")
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def open_fds() -> int:

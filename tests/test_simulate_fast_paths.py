@@ -29,6 +29,7 @@ import pytest
 
 import test_harness as th
 from sensordiag import RawDataset, _shares, cli, dataset, default_sim_config, harness, simulate, write_raw_csv
+from conftest import no_child_left
 
 SRC = Path(dataset.__file__).resolve().parents[1]
 pytestmark = pytest.mark.filterwarnings("ignore:.*use of fork:DeprecationWarning")
@@ -117,11 +118,6 @@ def shares(monkeypatch, count):
     """Let ``write_raw_csv`` format in up to ``count`` shares, whatever its size."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(dataset, "_WRITE_MIN_VALUES", 0)
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def counting_forks(monkeypatch):

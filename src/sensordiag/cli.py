@@ -27,7 +27,7 @@ from .dataset import (
     _embedded_rows, apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
 )
 from .detection import _row_blocks, spe, t2
-from .ebf import EbfParams, EbfState, ebf_decide, ebf_step
+from .ebf import NO_DECLARATION, EbfParams, EbfState, ebf_decide, ebf_step
 from .errors import (
     AmplitudeOverflow,
     ConfigError,
@@ -320,14 +320,14 @@ def cmd_monitor(args, cfg: dict) -> int:
     )
     state = EbfState.fresh(model.n)
 
-    def evidence(blk):  # each row's levels, and each row's declaration, -1 for none
+    def evidence(blk):  # each row's levels, and each row's declaration or NO_DECLARATION
         nonlocal state
         declared, levels = [], []
         for winner, step in zip(winner_all[blk].tolist(), steps[blk].tolist()):
             if step:
                 state = ebf_step(state, winner, params)
             decision = ebf_decide(state, params)
-            declared.append(-1 if decision is None else decision)
+            declared.append(NO_DECLARATION if decision is None else decision)
             levels.append(state.s)
         return np.array(levels), np.array(declared, winner_all.dtype)
 
@@ -339,7 +339,7 @@ def cmd_monitor(args, cfg: dict) -> int:
             [_JSON_BOOL[hit] for hit in spe_over[blk].tolist()],
             [_JSON_BOOL[hit] for hit in t2_over[blk].tolist()],
             winner_all[blk].tolist(),
-            ["null" if v < 0 else v for v in declared.tolist()],
+            ["null" if v == NO_DECLARATION else v for v in declared.tolist()],
             *levels.T.tolist(),
         ]
         return (line * len(declared)) % tuple(chain.from_iterable(zip(*cols)))

@@ -59,18 +59,23 @@ class EbfState:
         return cls(s=np.zeros(n_sensors))
 
 
+def _step(s: np.ndarray, at, params: EbfParams) -> np.ndarray:
+    """Levels ``s`` advanced one sample: the reward where ``at`` indexes, the penalty elsewhere.
+    ndarray.clip is np.clip without its wrappers; np.maximum/np.minimum would differ from it
+    where a sum ties a saturation bound of opposite zero sign."""
+    t = s + params.penalty
+    t[at] = s[at] + params.reward
+    return t.clip(params.lower_sat, params.upper_sat, out=t)
+
+
 def ebf_step(state: EbfState, winner: int, params: EbfParams) -> EbfState:
     """Advance the accumulator by one sample whose raw winner is ``winner``."""
     n = state.s.shape[0]
+    if isinstance(winner, bool) or not isinstance(winner, (int, np.integer)):
+        raise ValueError(f"winner must be an integer, got {winner!r}")
     if not 0 <= winner < n:
         raise IndexOutOfRange(f"winner {winner} not in [0, {n})")
-    s = state.s + params.penalty
-    s[winner] = state.s[winner] + params.reward
-    # ndarray.clip is np.clip without its wrappers; np.maximum/np.minimum
-    # would differ from it where a sum ties a saturation bound of opposite
-    # zero sign.
-    s.clip(params.lower_sat, params.upper_sat, out=s)
-    return EbfState(s=s)
+    return EbfState(s=_step(state.s, winner, params))
 
 
 def ebf_decide(state: EbfState, params: EbfParams) -> int | None:
@@ -116,9 +121,7 @@ def filter_stream(winners, n_sensors: int, params: EbfParams) -> np.ndarray:
     out = np.full(batch.shape, NO_DECLARATION, dtype=out_dtype)
     thresh = params.decision_threshold - _DECISION_TOL
     for t in range(batch.shape[1]):
-        g = np.full(s.shape, params.penalty)
-        g[rows, batch[:, t]] = params.reward
-        s = np.clip(s + g, params.lower_sat, params.upper_sat)
+        s = _step(s, (rows, batch[:, t]), params)
         top = np.argmax(s, axis=1)
         out[:, t] = np.where(s[rows, top] >= thresh, top, NO_DECLARATION)
     return out.reshape(winners.shape)

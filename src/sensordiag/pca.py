@@ -164,7 +164,6 @@ def _descending_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Deterministic sign: largest-magnitude entry of each eigenvector positive.
     idx = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[idx, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
     return w, v * signs
 
 

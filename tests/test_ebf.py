@@ -105,6 +105,33 @@ class TestStep:
         with pytest.raises(IndexOutOfRange):
             ebf_step(EbfState.fresh(3), 3, EbfParams())
 
+    @pytest.mark.parametrize(
+        "winner, error",
+        [
+            (True, ValueError),
+            (np.True_, ValueError),
+            (1.0, ValueError),
+            (np.float64(1.0), ValueError),
+            (-1, IndexOutOfRange),
+            (3, IndexOutOfRange),
+        ],
+        ids=["bool", "numpy-bool", "float", "numpy-float", "negative", "n"],
+    )
+    def test_rejects_the_winners_filter_stream_rejects(self, winner, error):
+        """A bool would index every sensor and a float no sensor; both
+        entry points refuse such a winner with the same exception."""
+        params = EbfParams()
+        with pytest.raises(Exception) as step:
+            ebf_step(EbfState.fresh(3), winner, params)
+        with pytest.raises(Exception) as stream:
+            filter_stream([winner], 3, params)
+        assert step.type is stream.type is error
+
+    @pytest.mark.parametrize("winner", [1, np.int8(1), np.int64(1), np.uint64(1)])
+    def test_accepts_python_and_numpy_integers(self, winner):
+        got = ebf_step(EbfState.fresh(3), winner, EbfParams()).s
+        assert got.tolist() == [0.0, 0.01, 0.0]
+
     @given(
         winners=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=120),
     )

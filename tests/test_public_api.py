@@ -1,13 +1,15 @@
 """Each layer module's ``__all__`` names only what it defines, and the
 package re-exports all of it, so ``from sensordiag.<module> import *`` works.
-Every public name has a user outside the tests. One module reads the JSON
-files that come from outside the program, one stores the scaler tiled over
-the lag blocks and one forms the attribution kernels. Every file parses
-under the grammar of the oldest supported Python."""
+Every public name has a user outside the tests, and README's library example
+runs. One module reads the JSON files that come from outside the program, one
+stores the scaler tiled over the lag blocks, one forms the attribution kernels
+and one function advances the evidence levels. Every file parses under the
+grammar of the oldest supported Python."""
 
 import ast
 import functools
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -66,13 +68,17 @@ def _references(source: str) -> set:
     return names
 
 
+def _readme_example() -> str:
+    """The code block under README's "Library usage"."""
+    readme = (ROOT / "README.md").read_text("utf-8")
+    return readme.split("## Library usage", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 @functools.cache
 def _used_outside_tests() -> set:
     """Names read by the package (re-exports aside), README's library
     example, the benchmark and the acceptance gates."""
-    readme = (ROOT / "README.md").read_text("utf-8")
-    example = readme.split("## Library usage", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    sources = [example, (ROOT / "tests" / "test_acceptance.py").read_text("utf-8")]
+    sources = [_readme_example(), (ROOT / "tests" / "test_acceptance.py").read_text("utf-8")]
     sources += [p.read_text("utf-8") for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     sources += [p.read_text("utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
     return set().union(*map(_references, sources))
@@ -84,6 +90,29 @@ def test_every_public_name_has_a_user(name):
     for a caller that may come."""
     module = importlib.import_module(f"sensordiag.{name}")
     assert [item for item in module.__all__ if item not in _used_outside_tests()] == []
+
+
+def test_the_readme_library_example_runs(capsys):
+    """README's library example runs as written on a small simulated series,
+    with ``embedded_sample`` one of its embedded training rows."""
+    raw = sensordiag.simulate(sensordiag.default_sim_config(n_sensors=4, m_samples=400))
+    embedded = sensordiag.embed_lags(
+        sensordiag.apply_scaler(raw, sensordiag.fit_scaler(raw)), 10
+    ).samples
+    namespace = {
+        "train_matrix": raw.samples,
+        "sensor_names": raw.sensor_names,
+        "embedded_sample": embedded[len(embedded) // 2],
+    }
+    exec(_readme_example(), namespace)
+    index_line, amplitude_line = capsys.readouterr().out.splitlines()
+    fields = re.fullmatch(
+        r"IndexSample\(spe=(.+), t2=(.+), spe_exceeds=(True|False), t2_exceeds=(True|False)\)",
+        index_line,
+    )
+    assert fields is not None, index_line
+    values = [float(v) for v in (*fields.group(1, 2), amplitude_line)]
+    assert all(map(math.isfinite, values)), values
 
 
 @pytest.mark.parametrize(
@@ -112,6 +141,15 @@ def test_one_owner_of_the_attribution_kernels():
     pattern = r"p_hat\.T|p_tilde\.T"
     hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
     assert hits == ["isolation.py"]
+
+
+def test_one_owner_of_the_evidence_step():
+    """Only ``ebf._step`` adds the reward and the penalty to the evidence
+    levels, so ``ebf_step`` and ``filter_stream`` advance them through one
+    kernel and a second copy of the update fails here."""
+    for term in ("params.reward", "params.penalty"):
+        counts = {p.name: p.read_text("utf-8").count(term) for p in PACKAGE.glob("*.py")}
+        assert {name: k for name, k in counts.items() if k} == {"ebf.py": 1}, term
 
 
 def test_one_owner_of_forked_work():

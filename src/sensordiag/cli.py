@@ -16,18 +16,15 @@ import signal
 import sys
 import warnings
 from dataclasses import fields, replace
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import _shares
 from ._jsonin import integer, list_of, read_object, real
-from .dataset import (
-    _embedded_rows, apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
-)
-from .detection import _row_blocks, spe, t2
-from .ebf import NO_DECLARATION, EbfParams, EbfState, ebf_decide, ebf_step
+from .dataset import apply_scaler, embed_lags, fit_scaler, read_raw_csv, write_raw_csv
+from .ebf import NO_DECLARATION, EbfParams
 from .errors import (
     AmplitudeOverflow,
     ConfigError,
@@ -35,13 +32,10 @@ from .errors import (
     IndexOutOfRange,
     SensorDiagError,
 )
-from .harness import DEFAULT_STRUCTURE_SEED, DEFAULT_VARIANTS, default_sim_config, simulate, sweep
-from .isolation import (
-    ContributionMethod,
-    DetectionIndex,
-    IsolationMethod,
-    contribution_matrix,
+from .harness import (
+    _RENDER_LINES, DEFAULT_STRUCTURE_SEED, DEFAULT_VARIANTS, default_sim_config, replay, simulate, sweep
 )
+from .isolation import ContributionMethod, DetectionIndex, IsolationMethod
 from .pca import fit_pca, load_model, save_model
 
 _METHODS, _INDICES = [m.value for m in ContributionMethod], [i.value for i in DetectionIndex]
@@ -128,10 +122,6 @@ def _resolve(schema: dict, user: dict, prefix: str = "") -> dict:
 
 DEFAULT_CONFIG: dict = _resolve(_SCHEMA, {})
 
-# Longest row block monitor scores and formats per stdout write: small
-# enough that the embedded block and the rendered text stay small
-# transients, large enough to amortise each call.
-_RENDER_LINES = 1024
 _PIPELINE_MIN_BLOCKS = 4  # blocks worth a render child; README "Performance" derives it
 _JSON_BOOL = ("false", "true")
 
@@ -286,7 +276,6 @@ def cmd_eval(args, cfg: dict) -> int:
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # scoring rejects an overflow
 def cmd_monitor(args, cfg: dict) -> int:
     model = load_model(args.csv_model)
     raw = _read_for_model(args.csv, model)
@@ -294,85 +283,59 @@ def cmd_monitor(args, cfg: dict) -> int:
         ContributionMethod(cfg["monitor"]["method"]),
         DetectionIndex(cfg["monitor"]["index"]),
     )
-    gate = cfg["monitor"]["gate_on_detection"]
-    params = _ebf_params(cfg)
-    d = model.d
-    # One list of near-equal row blocks, each at most _RENDER_LINES long,
-    # serves scoring and rendering. Each block embeds only the raw rows it
-    # reads (dataset._embedded_rows), so memory is bounded by the block.
-    # Every block is scored before the first line is written.
-    blocks = _row_blocks(raw.m - d, _RENDER_LINES)
-    spe_all, t2_all = np.empty(raw.m - d), np.empty(raw.m - d)
-    winner_all = np.empty(raw.m - d, dtype=np.min_scalar_type(-model.n))
-    for blk in blocks:
-        z = _embedded_rows(raw, model.scaler, d, blk)
-        spe_all[blk] = spe(model, z)
-        t2_all[blk] = t2(model, z)
-        winner_all[blk] = contribution_matrix(model, z, tag).argmax(axis=1)
-        del z  # free this block before the next one is embedded
-    del raw  # the replay reads only the scores
-    spe_over, t2_over = spe_all > model.spe_limit, t2_all > model.t2_limit
-    steps = spe_over | t2_over | (not gate)  # the gate skips a step where neither index alarms
+    # replay yields ceil(lines / _RENDER_LINES) blocks; a child pays from _PIPELINE_MIN_BLOCKS.
+    lines = raw.m - model.d
+    fits = lines > (_PIPELINE_MIN_BLOCKS - 1) * _RENDER_LINES and _shares.usable_cpus() > 1
+    blocks = replay(model, raw, tag, _ebf_params(cfg), cfg["monitor"]["gate_on_detection"])
+    del raw  # replay holds the only reference, and drops it once every block is scored
     # json.dumps spelling: a finite float prints as its repr, as %r does.
     line = (
         '{"k": %d, "spe": %r, "t2": %r, "spe_exceeds": %s, "t2_exceeds": %s, '
         '"raw_winner": %d, "ebf_declared": %s, "s": [' + ", ".join(["%r"] * model.n) + "]}\n"
     )
-    state = EbfState.fresh(model.n)
 
-    def evidence(blk):  # each row's levels, and each row's declaration or NO_DECLARATION
-        nonlocal state
-        declared, levels = [], []
-        for winner, step in zip(winner_all[blk].tolist(), steps[blk].tolist()):
-            if step:
-                state = ebf_step(state, winner, params)
-            decision = ebf_decide(state, params)
-            declared.append(NO_DECLARATION if decision is None else decision)
-            levels.append(state.s)
-        return np.array(levels), np.array(declared, winner_all.dtype)
-
-    def render(blk, levels, declared) -> str:
+    def render(block) -> str:
         cols = [
-            range(blk.start + d, blk.stop + d),
-            spe_all[blk].tolist(),
-            t2_all[blk].tolist(),
-            [_JSON_BOOL[hit] for hit in spe_over[blk].tolist()],
-            [_JSON_BOOL[hit] for hit in t2_over[blk].tolist()],
-            winner_all[blk].tolist(),
-            ["null" if v == NO_DECLARATION else v for v in declared.tolist()],
-            *levels.T.tolist(),
+            block.k,
+            block.spe.tolist(),
+            block.t2.tolist(),
+            [_JSON_BOOL[hit] for hit in block.spe_exceeds.tolist()],
+            [_JSON_BOOL[hit] for hit in block.t2_exceeds.tolist()],
+            block.raw_winner.tolist(),
+            ["null" if v == NO_DECLARATION else v for v in block.declared.tolist()],
+            *block.levels.T.tolist(),
         ]
-        return (line * len(declared)) % tuple(chain.from_iterable(zip(*cols)))
+        return (line * len(block.k)) % tuple(chain.from_iterable(zip(*cols)))
 
-    _write_blocks(blocks, evidence, render)
+    _write_blocks(blocks, fits, render)
     return 0
 
 
-def _write_blocks(blocks, evidence, render) -> None:
-    """Write ``render(blk, *evidence(blk))`` per block, in order, stepping all evidence here.
-    From two usable CPUs and _PIPELINE_MIN_BLOCKS blocks a forked child renders block i - 1
-    meanwhile, one reading as the other sends so neither blocks (README "Performance")."""
+def _write_blocks(blocks, fits: bool, render) -> None:
+    """Write ``render(block)`` for each record of ``blocks``, in order, drawing every one here.
+    With ``fits`` a child forked once the first is drawn renders record i - 1 meanwhile,
+    one reading as the other sends so neither blocks (README "Performance")."""
 
-    def serve(link) -> None:  # the child: render each block it is sent until its input ends
-        for blk, ev in zip(blocks, iter(lambda: _shares.receive(link), None)):
-            _shares.send(link, render(blk, *ev))
+    def serve(link) -> None:  # the child: render each record it is sent until its input ends
+        for block in iter(lambda: _shares.receive(link), None):
+            _shares.send(link, render(block))
 
-    fits = len(blocks) >= _PIPELINE_MIN_BLOCKS and _shares.usable_cpus() > 1
-    child = _shares.fork(serve) if fits else None  # None: every block is rendered here
-    pending = None  # the block the child is rendering, with its evidence
+    blocks = iter(blocks)
+    first = list(islice(blocks, 1))  # drawn before the fork: replay has dropped its series then
+    child = _shares.fork(serve) if fits else None  # None: every record is rendered here
+    pending = None  # the record the child is rendering
 
-    def collect() -> None:  # the pending block's text, if any: the child's, or rendered here
+    def collect() -> None:  # the pending record's text, if any: the child's, or rendered here
         if pending is not None:
             text = _shares.receive(child)  # None: the child died owing it
-            sys.stdout.write(render(*pending) if text is None else text)
+            sys.stdout.write(render(pending) if text is None else text)
 
     try:
-        for blk in blocks:
-            ev = evidence(blk)
+        for block in chain(first, blocks):  # each draw steps the evidence over record i
             collect()  # R[i-1] in
-            pending = (blk, *ev) if _shares.send(child, ev) else None  # E[i] out
-            if pending is None:  # no child, or a dead one that refused E[i]
-                sys.stdout.write(render(blk, *ev))
+            pending = block if _shares.send(child, block) else None  # B[i] out
+            if pending is None:  # no child, or a dead one that refused B[i]
+                sys.stdout.write(render(block))
         collect()
     finally:
         _shares.end(child)

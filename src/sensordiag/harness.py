@@ -6,7 +6,9 @@ sensor recordings. Step faults add a constant bias to one sensor from an
 onset sample onward. The evaluation sweep replays fault-free validation
 runs with injected faults over an amplitude grid and aggregates, per
 (method, index, filter) variant, the pooled isolation percentage and the
-mean absolute relative amplitude-reconstruction error.
+mean absolute relative amplitude-reconstruction error. ``replay`` runs one
+series through detection, isolation and the evidence filter, as ``monitor``
+prints it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from . import _shares
 from .dataset import RawDataset, ScalerParams, _embedded_rows, _written
-from .ebf import EbfParams, filter_stream
+from .detection import _row_blocks, spe, t2
+from .ebf import NO_DECLARATION, EbfParams, EbfState, ebf_decide, ebf_step, filter_stream
 from .errors import (
     AmplitudeOverflow,
     DimensionMismatch,
@@ -54,6 +57,8 @@ __all__ = [
     "reconstruction_error",
     "sweep",
     "DEFAULT_VARIANTS",
+    "ReplayBlock",
+    "replay",
 ]
 
 # Seed for the VAR parameter matrices; train/validation runs then differ only
@@ -72,6 +77,10 @@ class FaultSpec:
     onset_k: int
 
     def __post_init__(self):
+        for name in ("sensor", "onset_k"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.sensor < 0:
             raise IndexOutOfRange(f"sensor {self.sensor} must be non-negative")
         if self.onset_k < 0:
@@ -603,3 +612,79 @@ def sweep(
     bounds, scores = [len(runs) * i // k for i in range(k + 1)], []
     _shares.in_order(lambda i: score_share(bounds[i], bounds[i + 1]), k, k, scores.extend)
     return EvalReport(_pool_runs(scores, grid, variants), metadata)
+
+
+# Longest row block replay scores and yields, so the longest monitor renders per
+# stdout write: small enough that the embedded block and the rendered text stay
+# small transients, large enough to amortise each call.
+_RENDER_LINES = 1024
+
+
+class ReplayBlock(NamedTuple):
+    """One row block of a ``replay``: its samples ``k`` and, per sample, the two
+    indices and whether each exceeds its limit, the raw isolation winner, the
+    filtered declaration (``NO_DECLARATION`` where none) and the evidence levels
+    after the sample, one row of ``n`` per sample."""
+
+    k: range
+    spe: np.ndarray
+    t2: np.ndarray
+    spe_exceeds: np.ndarray
+    t2_exceeds: np.ndarray
+    raw_winner: np.ndarray
+    declared: np.ndarray
+    levels: np.ndarray
+
+
+def replay(model: PcaModel, data: RawDataset, tag: IsolationMethod, params=None, gate=False):
+    """Run ``data`` through the online scheme: detect with SPE and T2, isolate
+    with ``tag``, then filter the winners with one ``ebf_step`` and one
+    ``ebf_decide`` per sample from a fresh state, at ``params`` (an ``EbfParams``,
+    the defaults if ``None``). With ``gate`` a sample where neither index exceeds
+    its limit takes no step.
+
+    Yields one ``ReplayBlock`` per near-equal row block of at most
+    ``_RENDER_LINES`` samples, from sample ``k = d`` on. Every block is embedded
+    and scored, one block at a time, before the first is yielded, and ``data`` is
+    dropped then; each block's evidence is stepped as it is drawn. So drawing the
+    first block raises ``DimensionMismatch`` when ``data``'s sensor names are not
+    the model's or it has at most ``d`` rows, and ``NonFiniteResult`` when a score
+    overflows float64.
+    """
+    d = model.d
+    if data.sensor_names != model.sensor_names:
+        raise DimensionMismatch(
+            f"sensor names {data.sensor_names!r} do not match the model's {model.sensor_names!r}"
+        )
+    if data.m <= d:
+        raise DimensionMismatch(
+            f"{data.m} rows too few for the model's lag depth {d} (need at least {d + 1})"
+        )
+    params = EbfParams() if params is None else params
+    blocks = _row_blocks(data.m - d, _RENDER_LINES)
+    spe_all, t2_all = np.empty(data.m - d), np.empty(data.m - d)
+    winner_all = np.empty(data.m - d, dtype=np.min_scalar_type(-model.n))
+    with np.errstate(over="ignore", invalid="ignore"):  # scoring rejects an overflow
+        for blk in blocks:
+            z = _embedded_rows(data, model.scaler, d, blk)
+            spe_all[blk] = spe(model, z)
+            t2_all[blk] = t2(model, z)
+            winner_all[blk] = contribution_matrix(model, z, tag).argmax(axis=1)
+            del z  # free this block before the next one is embedded
+    del data  # the evidence reads only the scores
+    spe_over, t2_over = spe_all > model.spe_limit, t2_all > model.t2_limit
+    steps = spe_over | t2_over | (not gate)  # the gate skips a step where neither index alarms
+    state = EbfState.fresh(model.n)
+    for blk in blocks:
+        declared, levels = [], []
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is clamped
+            for winner, step in zip(winner_all[blk].tolist(), steps[blk].tolist()):
+                if step:
+                    state = ebf_step(state, winner, params)
+                decision = ebf_decide(state, params)
+                declared.append(NO_DECLARATION if decision is None else decision)
+                levels.append(state.s)
+        yield ReplayBlock(
+            range(blk.start + d, blk.stop + d), spe_all[blk], t2_all[blk], spe_over[blk],
+            t2_over[blk], winner_all[blk], np.array(declared, winner_all.dtype), np.array(levels),
+        )

@@ -29,7 +29,7 @@ from sensordiag import (
     save_model,
     write_raw_csv,
 )
-from sensordiag.cli import _RENDER_LINES
+from sensordiag.harness import _RENDER_LINES
 from sensordiag.detection import _BLOCK_ROWS, _row_blocks
 from sensordiag.ebf import _DECISION_TOL
 from sensordiag.errors import CsvParseError, IndexOutOfRange

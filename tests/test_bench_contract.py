@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from sensordiag import ContributionMethod, DetectionIndex, cli, dataset, ebf
-from sensordiag.cli import _RENDER_LINES
+from sensordiag import ContributionMethod, DetectionIndex, cli, dataset, ebf, harness
+from sensordiag.harness import _RENDER_LINES
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.json"
 # Contribution spans carry the variant as a suffix, e.g. ".rbc-t2".
@@ -127,7 +127,7 @@ def test_monitor_steps_once_per_line(tiny_workspace, long_series, monkeypatch, c
         calls.append(1)
         return ebf.ebf_step(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ebf_step", counting_step)
+    monkeypatch.setattr(harness, "ebf_step", counting_step)
     capsys.readouterr()
     assert cli.main(["--config", str(config), "monitor", str(model), str(data / "validation_1.csv")]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -164,7 +164,7 @@ def test_monitor_embeds_block_by_block(long_series, monkeypatch, capsys, tmp_pat
         return ebf.ebf_step(*args, **kwargs)
 
     monkeypatch.setattr(dataset, "embed_lags", recording_embed)
-    monkeypatch.setattr(cli, "ebf_step", counting_step)
+    monkeypatch.setattr(harness, "ebf_step", counting_step)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({}))
     capsys.readouterr()

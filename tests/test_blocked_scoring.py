@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli, detection
+from sensordiag import ContributionMethod, DetectionIndex, IsolationMethod, cli, detection, harness
 from sensordiag import contribution_matrix, load_model, save_model, spe, t2, write_raw_csv
 from sensordiag.detection import _BLOCK_ROWS, _row_blocks
 from sensordiag.errors import DegenerateDirection, NonFiniteResult
@@ -328,7 +328,7 @@ class TestOneProductOracle:
         """``run()`` at the module block sizes, then with one block."""
         blocked = run()
         monkeypatch.setattr(detection, "_BLOCK_ROWS", 10**9)
-        monkeypatch.setattr(cli, "_RENDER_LINES", 10**9)  # monitor's block cap
+        monkeypatch.setattr(harness, "_RENDER_LINES", 10**9)  # monitor's block cap
         return blocked, run()
 
     def test_eval_report_from_onset_zero(self, tmp_path, monkeypatch, capsys):

@@ -29,8 +29,9 @@ from sensordiag import (
     save_model,
     write_raw_csv,
 )
-from sensordiag.cli import _RENDER_LINES, main
+from sensordiag.cli import main
 from sensordiag.errors import ConfigError, IndexOutOfRange, LagTooLarge, SensorDiagError, UnstableConfig
+from sensordiag.harness import _RENDER_LINES
 from conftest import assert_same_stream, make_raw, monitor_blocks, oracle_monitor_ndjson, tampered_model
 
 BASE_CONFIG = {

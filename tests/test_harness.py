@@ -1,7 +1,10 @@
+import gc
 import json
 import math
 import pickle
 import re
+import warnings
+import weakref
 from dataclasses import replace
 from functools import lru_cache
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from sensordiag import (
     DEFAULT_VARIANTS,
+    NO_DECLARATION,
     ContributionMethod,
     DetectionIndex,
     EbfParams,
@@ -31,7 +35,10 @@ from sensordiag import (
     harness,
     inject_fault,
     isolation_percentage,
+    load_model,
+    read_raw_csv,
     reconstruction_error,
+    replay,
     simulate,
     sweep,
 )
@@ -48,9 +55,11 @@ from sensordiag.errors import (
 from conftest import (
     make_model,
     make_raw,
+    monitor_blocks,
     oracle_contribution_matrix,
     oracle_estimate_matrix,
     oracle_faulty_runs,
+    oracle_monitor_ndjson,
     oracle_prepare_run,
 )
 
@@ -183,6 +192,20 @@ class TestInjectFault:
             inject_fault(data, FaultSpec(sensor=99, amplitude=1.0, onset_k=0))
         with pytest.raises(IndexOutOfRange):
             inject_fault(data, FaultSpec(sensor=0, amplitude=1.0, onset_k=data.m))
+
+    @pytest.mark.parametrize(
+        "fields", [{"sensor": True}, {"sensor": 1.5}, {"onset_k": 2.5}], ids=["bool", "float", "float-onset"]
+    )
+    def test_non_integer_indices_rejected(self, fields):
+        # numpy reads a bool sensor as a mask, so its bias would land on a copy
+        with pytest.raises(ValueError, match="must be an integer"):
+            FaultSpec(**{"sensor": 1, "amplitude": 1.0, "onset_k": 3, **fields})
+
+    def test_numpy_integer_indices_accepted(self):
+        data = validation_runs(1)[0]
+        out = inject_fault(data, FaultSpec(sensor=np.int64(2), amplitude=3.0, onset_k=np.int32(3)))
+        np.testing.assert_array_equal(out.samples[3:, 2], data.samples[3:, 2] + 3.0)
+        np.testing.assert_array_equal(out.samples[:3], data.samples[:3])
 
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning comes first
     def test_overflow_raises_naming_the_fault(self):
@@ -411,6 +434,94 @@ class TestSweep:
         with pytest.raises(ValueError):
             EvalReport(rows=[row]).to_json(tmp_path / "report.json")
         assert not (tmp_path / "report.json").exists()
+
+
+def exact(value):
+    """A monitor record value tagged with its type, each float as its hex
+    spelling, so ``-0.0`` and ``0.0`` (or ``True`` and ``1``) differ."""
+    if isinstance(value, list):
+        return [exact(v) for v in value]
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def replay_records(blocks) -> list:
+    """``replay``'s blocks as ``monitor``'s per-sample records."""
+    return [
+        {
+            "k": k,
+            "spe": float(b.spe[i]),
+            "t2": float(b.t2[i]),
+            "spe_exceeds": bool(b.spe_exceeds[i]),
+            "t2_exceeds": bool(b.t2_exceeds[i]),
+            "raw_winner": int(b.raw_winner[i]),
+            "ebf_declared": None if b.declared[i] == NO_DECLARATION else int(b.declared[i]),
+            "s": b.levels[i].tolist(),
+        }
+        for b in blocks
+        for i, k in enumerate(b.k)
+    ]
+
+
+class TestReplay:
+    """``replay`` yields, field by field and bit for bit, the records of the
+    per-sample oracle that ``monitor``'s NDJSON is checked against."""
+
+    @pytest.mark.parametrize("gate", [False, True], ids=["ungated", "gated"])
+    @pytest.mark.parametrize("tag", [CP_SPE, CP_T2, RBC_SPE, RBC_T2], ids=lambda t: f"{t.method.value}-{t.index.value}")
+    def test_matches_the_monitor_oracle(self, long_series, tag, gate):
+        model = load_model(long_series["model"])
+        params = EbfParams(lower_sat=-0.0)  # a level clipped at the band's edge is -0.0
+        blocks = list(replay(model, read_raw_csv(long_series["csv"]), tag, params, gate))
+        lines = long_series["rows"] - model.d
+        assert [(b.k.start - model.d, b.k.stop - model.d) for b in blocks] == [
+            (blk.start, blk.stop) for blk in monitor_blocks(lines)
+        ]
+        assert len(blocks) > 2  # the fault's onset is the last sample of the first block
+        monitor = {"method": tag.method.value, "index": tag.index.value, "gate_on_detection": gate}
+        oracle = oracle_monitor_ndjson(model, long_series["csv"], monitor, params)
+        want = [json.loads(line) for line in oracle.splitlines()]
+        got = replay_records(blocks)
+        assert len(got) == len(want) == lines
+        for record, expected in zip(got, want):
+            assert record.keys() == expected.keys()
+            for key in record:
+                assert exact(record[key]) == exact(expected[key]), (record["k"], key)
+        assert any(math.copysign(1.0, v) < 0 for b in blocks for v in b.levels.ravel().tolist())
+
+    def test_drops_the_series_once_scored(self, long_series):
+        data = read_raw_csv(long_series["csv"])
+        ref = weakref.ref(data)
+        blocks = replay(load_model(long_series["model"]), data, RBC_T2)
+        del data
+        next(blocks)
+        gc.collect()
+        assert ref() is None
+
+    def test_mismatched_sensor_names(self, long_series):
+        data = read_raw_csv(long_series["csv"])
+        renamed = RawDataset(data.samples, tuple(f"x{i}" for i in range(data.n)))
+        with pytest.raises(DimensionMismatch, match="do not match the model's"):
+            next(replay(load_model(long_series["model"]), renamed, RBC_T2))
+
+    def test_too_few_rows_for_the_lag_depth(self, long_series):
+        model = load_model(long_series["model"])
+        data = read_raw_csv(long_series["csv"])
+        short = RawDataset(data.samples[: model.d], data.sensor_names)
+        with pytest.raises(DimensionMismatch, match=f"need at least {model.d + 1}"):
+            next(replay(model, short, RBC_T2))
+
+    def test_overflow_raises_before_any_block(self, long_series):
+        # an overflow in the last block: every block is scored before the first is yielded
+        model = load_model(long_series["model"])
+        data = read_raw_csv(long_series["csv"])
+        last = monitor_blocks(long_series["rows"] - model.d)[-1]
+        samples = np.array(data.samples)
+        samples[(last.start + last.stop) // 2 + model.d, 3] = 1e200
+        blocks = replay(model, RawDataset(samples, data.sensor_names), RBC_T2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="overflow float64"):
+                next(blocks)
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,10 @@
 package re-exports all of it, so ``from sensordiag.<module> import *`` works.
 Every public name has a user outside the tests, and README's library example
 runs. One module reads the JSON files that come from outside the program, one
-stores the scaler tiled over the lag blocks, one forms the attribution kernels
-and one function advances the evidence levels. Every file parses under the
-grammar of the oldest supported Python."""
+stores the scaler tiled over the lag blocks, one forms the attribution kernels,
+one function advances the evidence levels and one generator runs ``monitor``'s
+online loop. Every file parses under the grammar of the oldest supported
+Python."""
 
 import ast
 import functools
@@ -94,8 +95,10 @@ def test_every_public_name_has_a_user(name):
 
 def test_the_readme_library_example_runs(capsys):
     """README's library example runs as written on a small simulated series,
-    with ``embedded_sample`` one of its embedded training rows."""
+    with ``embedded_sample`` one of its embedded training rows and
+    ``series_matrix`` a second run of the same process."""
     raw = sensordiag.simulate(sensordiag.default_sim_config(n_sensors=4, m_samples=400))
+    series = sensordiag.simulate(sensordiag.default_sim_config(n_sensors=4, m_samples=300, seed=2))
     embedded = sensordiag.embed_lags(
         sensordiag.apply_scaler(raw, sensordiag.fit_scaler(raw)), 10
     ).samples
@@ -103,9 +106,12 @@ def test_the_readme_library_example_runs(capsys):
         "train_matrix": raw.samples,
         "sensor_names": raw.sensor_names,
         "embedded_sample": embedded[len(embedded) // 2],
+        "series_matrix": series.samples,
     }
     exec(_readme_example(), namespace)
-    index_line, amplitude_line = capsys.readouterr().out.splitlines()
+    index_line, amplitude_line, replay_line = capsys.readouterr().out.splitlines()
+    alarms, declared = map(int, replay_line.split())
+    assert 0 <= alarms <= 300 - 10 and -1 <= declared < 4, replay_line
     fields = re.fullmatch(
         r"IndexSample\(spe=(.+), t2=(.+), spe_exceeds=(True|False), t2_exceeds=(True|False)\)",
         index_line,
@@ -150,6 +156,18 @@ def test_one_owner_of_the_evidence_step():
     for term in ("params.reward", "params.penalty"):
         counts = {p.name: p.read_text("utf-8").count(term) for p in PACKAGE.glob("*.py")}
         assert {name: k for name, k in counts.items() if k} == {"ebf.py": 1}, term
+
+
+def test_one_owner_of_the_monitor_loop():
+    """Only ``harness.replay`` steps and decides the evidence per sample, and
+    ``cli.py`` scores nothing, so ``monitor``'s online loop is one library
+    generator and a second copy of it in the command fails here."""
+    for call in ("ebf_step", "ebf_decide"):
+        pattern = rf"(?<!def ){call}\("
+        hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if re.search(pattern, p.read_text("utf-8"))]
+        assert hits == ["harness.py"], call
+    cli = (PACKAGE / "cli.py").read_text("utf-8")
+    assert re.findall(r"(?<![\w.])(?:spe|t2|contribution_matrix)\(", cli) == []
 
 
 def test_one_owner_of_forked_work():

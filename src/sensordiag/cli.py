@@ -28,9 +28,9 @@ from .ebf import NO_DECLARATION, EbfParams
 from .errors import (
     AmplitudeOverflow,
     ConfigError,
-    DimensionMismatch,
     IndexOutOfRange,
     SensorDiagError,
+    check_index,
 )
 from .harness import (
     _RENDER_LINES, DEFAULT_STRUCTURE_SEED, DEFAULT_VARIANTS, default_sim_config, replay, simulate, sweep
@@ -161,16 +161,7 @@ def _read_for_model(path, model):
     """Read a CSV for ``model`` to score: the model's sensor names, in order,
     and more rows than its lag depth."""
     data = read_raw_csv(path)
-    if data.sensor_names != model.sensor_names:
-        raise DimensionMismatch(
-            f"{path}: sensor names {data.sensor_names!r} do not match "
-            f"the model's {model.sensor_names!r}"
-        )
-    if data.m <= model.d:
-        raise DimensionMismatch(
-            f"{path}: {data.m} rows too few for the model's lag depth {model.d} "
-            f"(need at least {model.d + 1})"
-        )
+    model._require_series(data, f"{path}: ")
     return data
 
 
@@ -226,10 +217,7 @@ def cmd_eval(args, cfg: dict) -> int:
     runs = [_read_for_model(p, model) for p in args.validation_csvs]
     sw = cfg["sweep"]
     target = sw["target_sensor"]
-    if not 0 <= target < model.n:
-        raise IndexOutOfRange(
-            f"sweep.target_sensor {target} not in [0, {model.n})"
-        )
+    check_index(target, model.n, "sweep.target_sensor")
     onset = sw["onset_k"]
     # sweep would reject it too, at its first amplitude, but this error names the key and file.
     for path, run in zip(args.validation_csvs, runs):

@@ -27,6 +27,7 @@ from .errors import (
     LagTooLarge,
     NonFiniteResult,
     ZeroVarianceColumn,
+    check_index,
 )
 
 __all__ = [
@@ -199,7 +200,8 @@ def embed_lags(data: ScaledDataset, d: int) -> ScaledDataset:
     LagTooLarge
         If ``d >= m`` (no row has enough history).
     """
-    if not isinstance(d, (int, np.integer)) or d < 0:
+    check_index(d, None, "lag depth")
+    if d < 0:
         raise ValueError(f"lag depth must be a non-negative integer, got {d!r}")
     d = int(d)  # the model file stores it, and json.dumps rejects np.int64
     if data.lag_depth != 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, check_index
 
 __all__ = ["NO_DECLARATION", "EbfParams", "EbfState", "ebf_step", "ebf_decide", "filter_stream"]
 
@@ -70,11 +70,7 @@ def _step(s: np.ndarray, at, params: EbfParams) -> np.ndarray:
 
 def ebf_step(state: EbfState, winner: int, params: EbfParams) -> EbfState:
     """Advance the accumulator by one sample whose raw winner is ``winner``."""
-    n = state.s.shape[0]
-    if isinstance(winner, bool) or not isinstance(winner, (int, np.integer)):
-        raise ValueError(f"winner must be an integer, got {winner!r}")
-    if not 0 <= winner < n:
-        raise IndexOutOfRange(f"winner {winner} not in [0, {n})")
+    check_index(winner, state.s.shape[0], "winner")
     return EbfState(s=_step(state.s, winner, params))
 
 

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the index check."""
+
+import numpy as np
 
 
 class SensorDiagError(Exception):
@@ -66,6 +68,16 @@ class IndexOutOfRange(SensorDiagError):
     """A sensor or sample index is outside the valid range."""
 
     exit_code = 3
+
+
+def check_index(value, n, what: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a Python or numpy integer (a bool
+    is not), and ``IndexOutOfRange`` unless it is in ``[0, n)``; with ``n`` None
+    only the type is checked. ``what`` names the value in the message."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if n is not None and not 0 <= value < n:
+        raise IndexOutOfRange(f"{what} {value} not in [0, {n})")
 
 
 class SchemaVersionMismatch(SensorDiagError):

@@ -28,13 +28,13 @@ from .detection import _row_blocks, spe, t2
 from .ebf import NO_DECLARATION, EbfParams, EbfState, ebf_decide, ebf_step, filter_stream
 from .errors import (
     AmplitudeOverflow,
-    DimensionMismatch,
     EmptySample,
     IndexOutOfRange,
     NonFiniteResult,
     SensorDiagError,
     UnstableConfig,
     ZeroAmplitude,
+    check_index,
 )
 from .isolation import (
     ContributionMethod,
@@ -78,9 +78,7 @@ class FaultSpec:
 
     def __post_init__(self):
         for name in ("sensor", "onset_k"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            check_index(getattr(self, name), None, name)
         if self.sensor < 0:
             raise IndexOutOfRange(f"sensor {self.sensor} must be non-negative")
         if self.onset_k < 0:
@@ -251,10 +249,8 @@ def inject_fault(data: RawDataset, fault: FaultSpec) -> RawDataset:
 
     Raises ``NonFiniteResult`` if a biased value overflows float64.
     """
-    if fault.sensor >= data.n:
-        raise IndexOutOfRange(f"sensor {fault.sensor} not in [0, {data.n})")
-    if fault.onset_k >= data.m:
-        raise IndexOutOfRange(f"onset {fault.onset_k} not in [0, {data.m})")
+    check_index(fault.sensor, data.n, "sensor")
+    check_index(fault.onset_k, data.m, "onset")
     samples = data.samples.copy()
     biased = samples[fault.onset_k :, fault.sensor]
     with np.errstate(over="ignore"):
@@ -524,7 +520,7 @@ def sweep(
     model : PcaModel
         Fitted model whose scaler and lag depth define the pipeline.
     runs : sequence of RawDataset
-        Fault-free validation series; sensor names must match the model.
+        Fault-free validation series with the model's sensor names and more than ``d`` rows.
     target : int
         Sensor receiving the injected step fault.
     grid : sequence of float
@@ -561,13 +557,11 @@ def sweep(
     variants = list(variants)
     if not variants:
         raise ValueError("need at least one variant")
-    if not 0 <= target < model.n:
-        raise IndexOutOfRange(f"target sensor {target} not in [0, {model.n})")
+    check_index(target, model.n, "target sensor")
     for run in runs:
-        if run.sensor_names != model.sensor_names:
-            raise DimensionMismatch(
-                "validation run sensor names do not match the model"
-            )
+        model._require_series(run)
+    if onset_k is not None:
+        check_index(onset_k, None, "onset_k")
     if ebf_params is None:
         ebf_params = EbfParams()
 
@@ -652,14 +646,7 @@ def replay(model: PcaModel, data: RawDataset, tag: IsolationMethod, params=None,
     overflows float64.
     """
     d = model.d
-    if data.sensor_names != model.sensor_names:
-        raise DimensionMismatch(
-            f"sensor names {data.sensor_names!r} do not match the model's {model.sensor_names!r}"
-        )
-    if data.m <= d:
-        raise DimensionMismatch(
-            f"{data.m} rows too few for the model's lag depth {d} (need at least {d + 1})"
-        )
+    model._require_series(data)
     params = EbfParams() if params is None else params
     blocks = _row_blocks(data.m - d, _RENDER_LINES)
     spe_all, t2_all = np.empty(data.m - d), np.empty(data.m - d)

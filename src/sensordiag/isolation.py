@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .detection import _check_finite, _row_blocks, _rows
-from .errors import DegenerateDirection, DimensionMismatch, IndexOutOfRange
+from .errors import DegenerateDirection, DimensionMismatch, check_index
 
 if TYPE_CHECKING:
     from .pca import PcaModel
@@ -106,8 +106,7 @@ def direction(model: "PcaModel", sensor: int) -> np.ndarray:
     (positions ``sensor + L*n`` for ``L = 0..d``); for a plain model it is
     the ``sensor``-th column of the identity.
     """
-    if not 0 <= sensor < model.n:
-        raise IndexOutOfRange(f"sensor {sensor} not in [0, {model.n})")
+    check_index(sensor, model.n, "sensor")
     u = np.zeros(model.n_e)
     u[sensor :: model.n] = 1.0
     return u
@@ -193,8 +192,7 @@ def estimate_matrix(
     ``index``, so estimates and RBC scores share one computation.
     """
     rows = _rows(model, x)
-    if not 0 <= sensor < model.n:
-        raise IndexOutOfRange(f"sensor {sensor} not in [0, {model.n})")
+    check_index(sensor, model.n, "sensor")
     ku, dens = _attribution(model, IsolationMethod(ContributionMethod.RBC, index))
     if dens[sensor] < _DEGENERATE_TOL:
         raise DegenerateDirection(sensor, f"amplitude estimation ({index.value})")

@@ -25,11 +25,12 @@ from .dataset import ScaledDataset, ScalerParams, _written
 from .errors import (
     CorruptModelFile,
     DegenerateSpectrum,
+    DimensionMismatch,
     EigendecompositionFailure,
-    IndexOutOfRange,
     SchemaVersionMismatch,
     SingularLambda,
     UndersampledFit,
+    check_index,
 )
 
 __all__ = [
@@ -124,6 +125,20 @@ class PcaModel:
                 "subspace index is undefined (l reaches into noise eigenvalues)"
             )
 
+    def _require_series(self, data, source: str = "") -> None:
+        """Raise ``DimensionMismatch`` unless the raw series ``data`` has the model's sensor
+        names, in order, and more rows than its lag depth; ``source`` prefixes the message."""
+        if data.sensor_names != self.sensor_names:
+            raise DimensionMismatch(
+                f"{source}sensor names {data.sensor_names!r} "
+                f"do not match the model's {self.sensor_names!r}"
+            )
+        if data.m <= self.d:
+            raise DimensionMismatch(
+                f"{source}{data.m} rows too few for the model's lag depth {self.d} "
+                f"(need at least {self.d + 1})"
+            )
+
     def residual_std(self, sensor: int) -> float:
         """Standard deviation of one sensor's residual-subspace component,
         in the sensor's engineering units.
@@ -133,8 +148,7 @@ class PcaModel:
         under the training distribution; its root is scaled by the sensor's
         scaler std.
         """
-        if not 0 <= sensor < self.n:
-            raise IndexOutOfRange(f"sensor {sensor} not in [0, {self.n})")
+        check_index(sensor, self.n, "sensor")
         var = float(np.sum(self.lambda_tilde * self.p_tilde[sensor, :] ** 2))
         std = np.sqrt(max(var, 0.0))
         return float(std * self.scaler.std[sensor])

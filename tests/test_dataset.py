@@ -503,6 +503,10 @@ BAD_INPUTS = {
     "scaled-one-dimensional": (lambda: ScaledDataset(np.zeros(4), UNIT2, ("a", "b")), "samples must be 2-D"),
     "embed-twice": (lambda: embed_lags(embed_lags(ScaledDataset(np.eye(4)[:, :2], UNIT2, ("a", "b")), 1), 1),
                     "data is already lag-extended"),
+    "embed-bool-lag": (lambda: embed_lags(ScaledDataset(np.eye(4)[:, :2], UNIT2, ("a", "b")), True),
+                       "lag depth must be an integer, got True"),
+    "embed-float-lag": (lambda: embed_lags(ScaledDataset(np.eye(4)[:, :2], UNIT2, ("a", "b")), 1.0),
+                        "lag depth must be an integer, got 1.0"),
 }
 
 

@@ -821,6 +821,24 @@ BAD_INPUTS = {
                               "target sensor 4 not in [0, 4)"),
     "sweep-target-negative": (lambda model, runs: sweep(model, runs, -1, [1.0]), IndexOutOfRange,
                               "target sensor -1 not in [0, 4)"),
+    # numpy reads a bool as a mask and a float not at all, so each is refused by type
+    "sweep-target-bool": (lambda model, runs: sweep(model, runs, True, [1.0]), ValueError,
+                          "target sensor must be an integer, got True"),
+    "sweep-target-numpy-bool": (lambda model, runs: sweep(model, runs, np.True_, [1.0]), ValueError,
+                                f"target sensor must be an integer, got {np.True_!r}"),
+    "sweep-target-float": (lambda model, runs: sweep(model, runs, 1.0, [1.0]), ValueError,
+                           "target sensor must be an integer, got 1.0"),
+    "sweep-onset-bool": (lambda model, runs: sweep(model, runs, 0, [1.0], onset_k=True), ValueError,
+                         "onset_k must be an integer, got True"),
+    "sweep-onset-float": (lambda model, runs: sweep(model, runs, 0, [1.0], onset_k=100.0), ValueError,
+                          "onset_k must be an integer, got 100.0"),
+    "sweep-run-too-short": (lambda model, runs: sweep(model, [RawDataset(runs[0].samples[:2], runs[0].sensor_names)],
+                                                      0, [1.0]),
+                            DimensionMismatch, "2 rows too few for the model's lag depth 2 (need at least 3)"),
+    "sweep-run-renamed": (lambda model, runs: sweep(model, [RawDataset(runs[0].samples, ("a", "b", "c", "d"))],
+                                                    0, [1.0]),
+                          DimensionMismatch,
+                          "sensor names ('a', 'b', 'c', 'd') do not match the model's ('s1', 's2', 's3', 's4')"),
 }
 
 

@@ -413,12 +413,21 @@ class TestAttributionErrors:
             with pytest.raises(DimensionMismatch):
                 estimate_matrix(ref2, np.zeros(shape), 0, index)
 
-    @pytest.mark.parametrize("sensor", [-1, 2, 5])
-    def test_estimate_sensor_out_of_range(self, ref2, sensor):
+    @pytest.mark.parametrize(
+        "sensor, error",
+        [pytest.param(s, IndexOutOfRange, id=str(s)) for s in (-1, 2, 5)]
+        + [pytest.param(s, ValueError, id=i) for s, i in ((True, "bool"), (np.True_, "numpy-bool"), (1.0, "float"))],
+    )
+    def test_estimate_sensor_out_of_range(self, ref2, sensor, error):
+        # numpy would read a bool sensor as a mask, so it is refused by type like a float
+        with pytest.raises(error):
+            direction(ref2, sensor)
         for index in DetectionIndex:
             estimate_matrix(ref2, np.zeros((3, 2)), 1, index)  # kernel cached
-            with pytest.raises(IndexOutOfRange):
+            with pytest.raises(error):
                 estimate_matrix(ref2, np.zeros((3, 2)), sensor, index)
+            with pytest.raises(error):
+                estimate_fault(ref2, np.zeros(2), sensor, index)
 
     def test_degenerate_contribution_raises_every_call(self):
         model = axis_model()

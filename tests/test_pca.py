@@ -464,6 +464,12 @@ BAD_INPUTS = {
                               "sensor 4 not in [0, 4)"),
     "residual-std-negative": (lambda: make_model(n=4, m=400, seed=5).residual_std(-1), IndexOutOfRange,
                               "sensor -1 not in [0, 4)"),
+    "residual-std-bool": (lambda: make_model(n=4, m=400, seed=5).residual_std(True), ValueError,
+                          "sensor must be an integer, got True"),
+    "residual-std-numpy-bool": (lambda: make_model(n=4, m=400, seed=5).residual_std(np.True_), ValueError,
+                                f"sensor must be an integer, got {np.True_!r}"),
+    "residual-std-float": (lambda: make_model(n=4, m=400, seed=5).residual_std(1.0), ValueError,
+                           "sensor must be an integer, got 1.0"),
     "covariance-one-row": (lambda: covariance(ScaledDataset(np.zeros((1, 2)), UNIT2, ("a", "b"))), ValueError,
                            "need at least 2 samples for a covariance estimate"),
     "fit-zero-spectrum": (lambda: fit_pca(ScaledDataset(np.zeros((5, 2)), UNIT2, ("a", "b"))),

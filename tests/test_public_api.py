@@ -170,6 +170,17 @@ def test_one_owner_of_the_monitor_loop():
     assert re.findall(r"(?<![\w.])(?:spe|t2|contribution_matrix)\(", cli) == []
 
 
+def test_one_owner_of_the_input_checks():
+    """Only ``errors.check_index`` tells an integer index from a bool or a float,
+    and only ``PcaModel._require_series`` checks a series against the model, so a
+    hand-written copy of either check fails here."""
+    hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if "np.integer" in p.read_text("utf-8")]
+    assert hits == ["errors.py"]
+    for term in ("rows too few for the model's lag depth", "do not match the model's"):
+        hits = [p.name for p in sorted(PACKAGE.glob("*.py")) if term in p.read_text("utf-8")]
+        assert hits == ["pca.py"], term
+
+
 def test_one_owner_of_forked_work():
     """Only ``_shares.py`` forks, talks to a child over its socket pair, ends it or
     reaches a native library, so a second copy of the fork policy fails here."""
